@@ -30,33 +30,38 @@ R0 = {
 }
 
 # Level-1 and level-2 irreducibles of nested.tower. The proper parts of v
-# have their shifts sigma^k, |k| <= MAX_SHIFT, as denominators.
+# have their shifts sigma^k as denominators: |k| <= 5 at level 1 and
+# |k| <= 3 at level 2.
 # The level-2 pool holds one irreducible: with six, every session input
-# scanned six representatives over +-20 shifts and most ran past the time
-# limit (see README.md).
+# scanned six representatives over +-20 shifts and took seconds (see
+# README.md). Level-2 shifts beyond 3 are left out for run length only. In
+# a session, the median input takes about 15 ms at k = 0 and 0.2 s at
+# k = 3, but 0.7 s at k = 4 (one took 4.3 s), 0.9 s at k = -5, and at
+# k = 5 one input ran past 20 s.
 LEVEL1_POOL = ("x", "x+2", "x-3", "x^2+1", "x^2+x+1")
 LEVEL2_POOL = ("t1",)
 NUMERATORS = ("1", "2", "-3", "x", "x+1")
 MONOMIALS = ("x", "t1", "t2", "x*t1", "t1^2", "x*t2", "t1*t2")
-MAX_SHIFT = 5
+LEVEL1_SHIFTS = range(-5, 6)
+LEVEL2_SHIFTS = range(-3, 4)
 
 # Total degrees of the dense polynomials in (x, t1, t2) on bench.tower. Three
 # sizes put the median and p90 inside a size class rather than where
 # classes meet; all ops of one size cost nearly the same.
 POLY_DEGREES = (3, 4, 5)
 
-# creative.tower families f_j, j = 2..m+1, each a definite-sum summand in
-# the parameter n. m = 6 is left out for run length only: one problem of
-# the first family takes about 32 s at m = 6. With j starting at 2, every
-# problem ended either below 0.34 s or above 1.9 s when the benchmark was
-# defined, far from
-# the time limit, so the same problems time out on every run.
-CREATIVE_FAMILIES = (
-    "t1/(n-x+{j})",
-    "1/((x+{j})*(n-x+{j}))",
-    "t1/(n-x+{j})^2",
+# creative.tower problems: family f_j, j = 2..m+1, and m. Each is a
+# definite-sum summand in the parameter n. Sizes stop where a problem first
+# takes more than a second, for run length only: one problem of the first
+# family takes 1.6 s at m = 5 and about 32 s at m = 6; the second takes
+# 4.2 s at m = 4; the third runs past 8 s at m = 4. The kept ones take
+# 12 ms to 0.3 s, and j starts at 2 (from j = 1 the m = 4 problem of the
+# second family takes 0.7 to 0.9 s).
+CREATIVE_PROBLEMS = (
+    ("t1/(n-x+{j})", 2), ("t1/(n-x+{j})", 3), ("t1/(n-x+{j})", 4),
+    ("1/((x+{j})*(n-x+{j}))", 2), ("1/((x+{j})*(n-x+{j}))", 3),
+    ("t1/(n-x+{j})^2", 2), ("t1/(n-x+{j})^2", 3),
 )
-CREATIVE_SIZES = (2, 3, 4, 5)
 # depth_reduce inputs after each parameterized telescoping problem
 DEPTH_PER_PARAM = 1
 
@@ -142,21 +147,12 @@ class _Draws:
     """The properties of an input, each drawn round by round."""
 
     def __init__(self, rng):
-        shifts = range(-MAX_SHIFT, MAX_SHIFT + 1)
         self.rng = rng
-        self.k2 = _rounds(rng, shifts)
-        self.k1 = _rounds(rng, shifts)
+        self.k2 = _rounds(rng, LEVEL2_SHIFTS)
+        self.k1 = _rounds(rng, LEVEL1_SHIFTS)
         self.level1 = _rounds(rng, LEVEL1_POOL)
         self.level2 = _rounds(rng, LEVEL2_POOL)
-        self.monomial = _rounds(rng, MONOMIALS)
         self.numerator = _rounds(rng, NUMERATORS)
-        # every third input gets c*r0 added
-        self.with_r0 = _rounds(rng, (True, False, False))
-
-    def case(self, v, r0):
-        if next(self.with_r0):
-            return Case(v, _coeff(self.rng), r0)
-        return Case(v)
 
 
 def dense_poly(rng, names, degree):
@@ -178,32 +174,46 @@ def dense_poly(rng, names, degree):
 
 
 def poly_cases(tower, seed):
-    """poly: dense polynomials p on bench.tower, input Delta(p) [+ c*r0]."""
-    draws = _Draws(random.Random(f"poly/{seed}"))
-    degrees = _rounds(draws.rng, POLY_DEGREES)
+    """poly: dense polynomials p on bench.tower, input Delta(p) [+ c*r0].
+    Each round has every degree three times, once with c*r0 added."""
+    rng = random.Random(f"poly/{seed}")
+    kinds = _rounds(rng, [(degree, with_r0) for degree in POLY_DEGREES
+                          for with_r0 in (True, False, False)])
     names = [name for name, _ in tower.gens]
     while True:
-        p = dense_poly(draws.rng, names, next(degrees))
-        yield draws.case(p, R0["poly"])
+        degree, with_r0 = next(kinds)
+        p = dense_poly(rng, names, degree)
+        yield Case(p, _coeff(rng), R0["poly"]) if with_r0 else Case(p)
 
 
-def mixed_v(tower, draws):
-    """A monomial plus a level-1 and a level-2 proper part, each over
-    sigma^k of a pool irreducible. (With two level-2 parts, parsing v
+def mixed_v(tower, draws, k2, monomial):
+    """A monomial plus a level-1 and a level-2 proper part, over sigma^k1
+    and sigma^k2 of pool irreducibles. (With two level-2 parts, parsing v
     alone meets the depth-2 gcd blow-up and takes minutes.)"""
     rng = draws.rng
-    parts = [f"({_coeff(rng)})*{next(draws.monomial)}"]
-    for pool, k in ((draws.level1, draws.k1), (draws.level2, draws.k2)):
-        den = tower.shift(next(pool), next(k))
+    parts = [f"({_coeff(rng)})*{monomial}"]
+    for pool, k in ((draws.level1, next(draws.k1)), (draws.level2, k2)):
+        den = tower.shift(next(pool), k)
         parts.append(f"({_coeff(rng)})*({next(draws.numerator)})/({den})")
     return " + ".join(parts)
 
 
 def session_cases(tower, seed):
-    """session and oneshot: Delta(v) [+ c*r0] for mixed v on nested.tower."""
+    """session and oneshot: Delta(v) [+ c*r0] for mixed v on nested.tower.
+    Each round has every level-2 shift three times, once with c*r0 added:
+    the shift sets most of an input's cost, and the monomial much of the
+    rest, so each shift also takes the monomials in rounds of its own."""
     draws = _Draws(random.Random(f"session/{seed}"))
+    kinds = _rounds(draws.rng, [(k2, with_r0) for k2 in LEVEL2_SHIFTS
+                                for with_r0 in (True, False, False)])
+    monomials = {k2: _rounds(draws.rng, MONOMIALS) for k2 in LEVEL2_SHIFTS}
     while True:
-        yield draws.case(mixed_v(tower, draws), R0["session"])
+        k2, with_r0 = next(kinds)
+        v = mixed_v(tower, draws, k2, next(monomials[k2]))
+        if with_r0:
+            yield Case(v, _coeff(draws.rng), R0["session"])
+        else:
+            yield Case(v)
 
 
 def creative_items(tower, seed):
@@ -211,10 +221,11 @@ def creative_items(tower, seed):
     ("param", [f_1, ..., f_m]), then DEPTH_PER_PARAM depth_reduce inputs on
     nested.tower, ("depth", v), and so on."""
     draws = _Draws(random.Random(f"creative/{seed}"))
-    problems = _rounds(draws.rng, [(family, m) for family in CREATIVE_FAMILIES
-                                   for m in CREATIVE_SIZES])
+    problems = _rounds(draws.rng, CREATIVE_PROBLEMS)
+    monomials = {k2: _rounds(draws.rng, MONOMIALS) for k2 in LEVEL2_SHIFTS}
     while True:
         family, m = next(problems)
         yield "param", [family.format(j=j) for j in range(2, m + 2)]
         for _ in range(DEPTH_PER_PARAM):
-            yield "depth", mixed_v(tower, draws)
+            k2 = next(draws.k2)
+            yield "depth", mixed_v(tower, draws, k2, next(monomials[k2]))

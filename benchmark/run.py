@@ -1,11 +1,12 @@
 """Benchmark of sumred: one workload per run, every metric by name and unit.
 
-    python3 benchmark/run.py --workload poly --seed 1 --seconds 30 --trace 0
+    python3 benchmark/run.py --workload poly --seed 1 --seconds 25 --trace 0
 
 Run from the repository root. With --trace 0 the run times operations for
---seconds seconds and reports the end-to-end metrics; with --trace 1 it runs
-a fixed number of operations twice, untraced and traced, and reports the
-per-layer metrics. The last line of standard output is one JSON object:
+--seconds seconds of wall time and reports the end-to-end metrics; with
+--trace 1 it runs a fixed number of operations twice, untraced and traced,
+and reports the per-layer metrics. Times are CPU times at the reference
+speed (see clock.py). The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}. See benchmark/README.md.
 """
 
@@ -16,34 +17,42 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter
+
+import clock
 
 ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
 WORKLOAD_NAMES = ("poly", "session", "oneshot", "creative")
 
-# Operations per pass of a traced run: a fixed number, so that two traced
-# runs on one seed do exactly the same work.
-TRACE_OPS = {"poly": 30, "session": 22, "oneshot": 33, "creative": 24}
+# Operations per pass of a traced run: a fixed number of whole rounds (see
+# workloads.py), so that two traced runs on one seed do exactly the same
+# work.
+TRACE_OPS = {"poly": 54, "session": 42, "oneshot": 42, "creative": 56}
 
-# Set-up is timed in this process and this many more times in fresh
-# interpreters; the run reports the median.
-SETUP_REPEATS = 4
+# Set-up is timed this many times, each in a fresh interpreter; the run
+# reports the median.
+SETUP_REPEATS = 7
 
+# Prints the set-up's CPU time and the median of six reference timings
+# made around it.
 _SETUP_CHILD = """\
-import sys, time
-t0 = time.perf_counter()
-sys.path.insert(0, sys.argv[1])
+import statistics, sys
+sys.path[:0] = sys.argv[1:3]
+from clock import cpu_seconds, reference_seconds
+refs = [reference_seconds() for _ in range(3)]
+t0 = cpu_seconds()
 import sympy, sumred.cli
 from sumred.towerfile import load_tower_file
-for path in sys.argv[2:]:
+for path in sys.argv[3:]:
     load_tower_file(path)
-print(time.perf_counter() - t0)
+dt = cpu_seconds() - t0
+refs += [reference_seconds() for _ in range(3)]
+print(dt, statistics.median(refs))
 """
 
 
 def main(argv=None):
     args = _parse_args(argv)
-    t0 = perf_counter()
     src = ROOT / "src"
     missing = [p for p in (src / "sumred" / "__init__.py", ROOT / "towers")
                if not p.exists()]
@@ -53,26 +62,19 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
-    import sympy  # noqa: F401  (the factorizer imports it on first use)
-
     import workloads
-
-    from sumred.towerfile import load_tower_file
 
     tower_paths = [str(ROOT / "towers" / name)
                    for name in workloads.TOWERS[args.workload]]
-    for path in tower_paths:
-        load_tower_file(path)
-    setup_s = perf_counter() - t0
+    setups = [] if args.trace else [_setup_in_child(src, tower_paths)
+                                    for _ in range(SETUP_REPEATS)]
+    # the factorizer imports sympy on first use; import it untimed
+    import sympy  # noqa: F401
 
-    limit = workloads.scaled_limit()
-    print(f"per-input time limit on this machine: {limit:.3f} s",
-          file=sys.stderr)
+    limit = workloads.LIMIT_S
     if args.trace:
         result = _traced(args, workloads, limit)
     else:
-        setups = [setup_s] + [_setup_in_child(src, tower_paths)
-                              for _ in range(SETUP_REPEATS)]
         wl = workloads.WORKLOADS[args.workload](ROOT, args.seed)
         tally = workloads.run_pass(wl, limit, seconds=args.seconds)
         workloads.report_wrong(args.workload, tally)
@@ -91,10 +93,13 @@ def _parse_args(argv):
 
 
 def _setup_in_child(src, tower_paths):
+    """Set-up CPU seconds in a fresh interpreter, at the reference speed."""
     proc = subprocess.run(
-        [sys.executable, "-c", _SETUP_CHILD, str(src), *tower_paths],
+        [sys.executable, "-c", _SETUP_CHILD, str(src), str(HERE),
+         *tower_paths],
         capture_output=True, text=True, check=True, timeout=120)
-    return float(proc.stdout.strip().splitlines()[-1])
+    dt, ref = map(float, proc.stdout.split())
+    return dt * clock.REFERENCE_S / ref
 
 
 def _result(tally, metrics):
@@ -118,7 +123,10 @@ def _end_to_end(tally, setups):
     print(f"operations {tally.attempted}: certified {tally.certified}, "
           f"typed failures {tally.typed}, timeouts {len(tally.timeouts)}, "
           f"wrong {len(tally.wrong)}; p90 has "
-          f"{len(lat_ms) - int(0.9 * len(lat_ms))} samples above it",
+          f"{len(lat_ms) - int(0.9 * len(lat_ms))} samples above it; "
+          f"host slowdown against the reference speed: median "
+          f"{1 / statistics.median(tally.speed):.3f}, range "
+          f"{1 / max(tally.speed):.3f} to {1 / min(tally.speed):.3f}",
           file=sys.stderr)
     attempted = max(tally.attempted, 1)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -145,12 +153,10 @@ def _traced(args, workloads, limit):
     plain = workloads.run_pass(
         workloads.WORKLOADS[args.workload](ROOT, args.seed), limit,
         count=count)
-    # operations that timed out untraced are skipped, so every traced
-    # operation runs to its end and the counts repeat exactly
     with spans.Tracer() as tracer:
         traced = workloads.run_pass(
             workloads.WORKLOADS[args.workload](ROOT, args.seed), limit,
-            count=count, tracer=tracer, skip=set(plain.timeouts))
+            count=count, tracer=tracer)
     for tally in (plain, traced):
         workloads.report_wrong(args.workload, tally)
     both = [i for i in traced.completed_time if i in plain.completed_time]

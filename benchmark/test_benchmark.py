@@ -81,6 +81,14 @@ def test_rounds_cover_every_shift_once_per_round():
     assert sorted(shifts[11:]) == list(range(-5, 6))
 
 
+def test_every_round_adds_r0_to_a_third_of_the_inputs():
+    for name, size in (("poly", 9), ("session", 21)):
+        stream = _streams(3)[name]
+        for _ in range(2):
+            batch = list(itertools.islice(stream, size))
+            assert sum(not case.summable for case in batch) == size // 3
+
+
 def test_text_shift_inverts():
     tt = _text("nested.tower")
     tower = load_tower_file(TOWERS / "nested.tower")
@@ -226,6 +234,18 @@ def test_wrong_outputs_are_counted_not_dropped():
     assert tally.certified == 3
     assert [i for i, _p in tally.wrong] == [0, 2, 4]
     assert tally.failed == 3
+
+
+def test_times_are_scaled_by_the_reference_timings_around_them():
+    ref = workloads.clock.REFERENCE_S
+    ops = [(i, "certified", 0.01, []) for i in range(12)]
+    # the host runs at the reference speed, then at half of it
+    refs = [ref] * 6 + [2 * ref] * 7
+    tally = workloads.Tally(ops, refs)
+    times = [t for _i, _o, t, _p in tally.ops]
+    assert times[:3] == [0.01] * 3
+    assert times[-3:] == [0.005] * 3
+    assert tally.busy == sum(times)
 
 
 def test_time_limit_interrupts_a_long_operation():

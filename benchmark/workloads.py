@@ -2,14 +2,18 @@
 
 A workload builds its inputs from the seed (untimed), runs one operation
 per input through sumred's public functions (timed), and checks the output
-(untimed). Every operation runs under a per-input time limit; one that
-runs past it counts as failed, and, except in the long-lived session, the
-state it ran in is thrown away.
+(untimed). An operation is timed in CPU time, and between operations the
+loop times the fixed computation of clock.reference_seconds(), so that each
+operation's time can be given at the reference speed (see clock.py). Every
+operation also runs under a wall-clock time limit; one that runs past it
+counts as failed, and, except in the long-lived session, the state it ran
+in is thrown away.
 """
 
 import contextlib
 import io
 import signal
+import statistics
 import sys
 from fractions import Fraction
 from time import perf_counter
@@ -23,16 +27,17 @@ from sumred.telescope import depth_reduce, parameterized_telescope, telescope
 from sumred.towerfile import load_tower_file
 
 import checks
+import clock
 import inputs
 
-# Per-input time limit, in seconds on the machine the benchmark was defined
-# on. There, operations ended either below 0.38 s or above 0.46 s (see
-# README.md); a limit between the two keeps the same operations timing out
-# on every run. A run scales it by its own reference_seconds() over
-# REFERENCE_S, that machine's, so that this holds on a faster or slower
-# machine too.
-LIMIT_S = 0.42
-REFERENCE_S = 0.033
+# Per-input time limit, in wall-clock seconds. Every operation of the
+# generated mixes ends within 0.5 s (see inputs.py for the sizes left out
+# for run length), so the limit only stops an operation that has become
+# about twenty times slower, and a run still ends in time.
+LIMIT_S = 10.0
+
+# Rounds of inputs in one session context (see Session).
+SESSION_ROUNDS = 2
 
 TOWERS = {
     "poly": ("bench.tower",),
@@ -48,23 +53,6 @@ class OpTimeout(BaseException):
     A BaseException, like KeyboardInterrupt, so that no handler inside the
     program mistakes it for an error of its own.
     """
-
-
-def reference_seconds():
-    """Median of five timings of a fixed exact-arithmetic loop that does not
-    use sumred: a measure of this machine's speed."""
-    times = []
-    for _ in range(5):
-        t0 = perf_counter()
-        acc = Fraction(0)
-        for i in range(1, 2500):
-            acc += Fraction(1, i * i + 1)
-        times.append(perf_counter() - t0)
-    return sorted(times)[2]
-
-
-def scaled_limit():
-    return LIMIT_S * reference_seconds() / REFERENCE_S
 
 
 @contextlib.contextmanager
@@ -117,7 +105,7 @@ class Workload:
 
 class Poly(Workload):
     name = "poly"
-    round = len(inputs.POLY_DEGREES)
+    round = 3 * len(inputs.POLY_DEGREES)
 
     def __init__(self, root, seed):
         super().__init__(root, seed)
@@ -137,16 +125,19 @@ class Poly(Workload):
 
 
 class Session(Workload):
-    """One long-lived context. When it starts, it reduces r0 and 1/q for
-    every pool irreducible q, which makes q its class representative, as
-    seeding representatives would."""
+    """Sessions of SESSION_ROUNDS rounds of inputs, each in one long-lived
+    context; a run makes as many whole sessions as its time allows, so a
+    slower machine runs fewer sessions, not shorter ones. When a session
+    starts, it reduces r0 and 1/q for every pool irreducible q, which makes
+    q its class representative, as seeding representatives would."""
 
     name = "session"
-    round = 2 * inputs.MAX_SHIFT + 1
+    round = SESSION_ROUNDS * 3 * len(inputs.LEVEL2_SHIFTS)
 
     def __init__(self, root, seed):
         super().__init__(root, seed)
         self.stream = inputs.session_cases(self.texts["nested.tower"], seed)
+        self.served = 0
 
     def reset(self):
         super().reset()
@@ -163,6 +154,9 @@ class Session(Workload):
         pass
 
     def next_item(self):
+        if self.served and self.served % self.round == 0:
+            self.reset()
+        self.served += 1
         case = next(self.stream)
         tower = self.towers["nested.tower"]
         return case, self._reduction_input(tower, case)
@@ -184,7 +178,7 @@ class Oneshot(Workload):
     """The session distribution, each input through `sumred verify`."""
 
     name = "oneshot"
-    round = 2 * inputs.MAX_SHIFT + 1
+    round = 3 * len(inputs.LEVEL2_SHIFTS)
 
     def __init__(self, root, seed):
         super().__init__(root, seed)
@@ -215,8 +209,7 @@ class Creative(Workload):
     depth_reduce on nested.tower, each problem in a fresh context."""
 
     name = "creative"
-    round = (len(inputs.CREATIVE_FAMILIES) * len(inputs.CREATIVE_SIZES)
-             * (1 + inputs.DEPTH_PER_PARAM))
+    round = len(inputs.CREATIVE_PROBLEMS) * (1 + inputs.DEPTH_PER_PARAM)
 
     def __init__(self, root, seed):
         super().__init__(root, seed)
@@ -248,13 +241,34 @@ class Creative(Workload):
 
 WORKLOADS = {w.name: w for w in (Poly, Session, Oneshot, Creative)}
 
+# Operations a timed run makes at least, so that its p90 has ten beyond it.
+MIN_OPS = 100
+
+# Reference timings on each side of an operation whose median sets its
+# speed. The host's speed changes from one operation to the next, so the
+# window is kept to two timings before and two after (see README.md).
+SPEED_WINDOW = 1
+
 
 class Tally:
     """Outcomes of a list of operations, each (index, outcome, seconds,
     problems); outcome is "certified", "timeout", "wrong" or the name of
-    a typed SummationError."""
+    a typed SummationError, and seconds the operation's CPU time at the
+    reference speed.
 
-    def __init__(self, ops):
+    refs holds clock.reference_seconds() before each operation and after
+    the last. An operation's CPU time is scaled by clock.REFERENCE_S over
+    the median of the reference timings around it, which follows the
+    host's speed as it changes within a run.
+    """
+
+    def __init__(self, ops, refs):
+        self.speed = [
+            clock.REFERENCE_S / statistics.median(
+                refs[max(0, k - SPEED_WINDOW):k + SPEED_WINDOW + 2])
+            for k in range(len(ops))]
+        ops = [(i, out, t * f, p) for (i, out, t, p), f
+               in zip(ops, self.speed)]
         self.ops = ops
         self.attempted = len(ops)
         self.latencies = [t for _i, out, t, _p in ops if out == "certified"]
@@ -273,54 +287,47 @@ class Tally:
         return self.attempted - self.certified
 
 
-def run_pass(wl, limit, *, seconds=None, count=None, tracer=None, skip=None):
-    """Run `count` operations, or whole rounds of them for `seconds`, each
-    under the time limit `limit`.
+def run_pass(wl, limit, *, seconds=None, count=None, tracer=None):
+    """Run `count` operations, or whole rounds of them for `seconds` of
+    wall time, each under the time limit `limit`.
 
-    With `seconds`, operations run until the time is up and at least one
-    round is done; only whole rounds are counted, so every run on every
-    seed counts the same mix. With `skip`, the operations at those indices
-    are not run and their state is thrown away, as it was when they timed
-    out before; the others run to their end, without a limit.
+    With `seconds`, operations run until the time is up and at least
+    MIN_OPS are done; only whole rounds are counted, so every run on every
+    seed counts the same mix.
     """
     ops = []
+    refs = [clock.reference_seconds()]
     deadline = None if seconds is None else perf_counter() + seconds
+    least = -(-MIN_OPS // wl.round) * wl.round
     i = 0
     while (i < count if count is not None
-           else perf_counter() < deadline or i < wl.round):
+           else perf_counter() < deadline or i < least):
         try:
             # building an input runs the program's parser and arithmetic
             with time_limit(limit):
                 item = wl.next_item()
         except OpTimeout:
             item = None
-        if skip is None:
-            ops.append(_run_one(wl, i, item, limit, tracer))
-        elif i in skip:
-            wl.timed_out()
-        else:
-            ops.append(_run_one(wl, i, item, None, tracer))
+        ops.append(_run_one(wl, i, item, limit, tracer))
+        refs.append(clock.reference_seconds())
         i += 1
     if count is None:
         ops = ops[:len(ops) // wl.round * wl.round]
-    return Tally(ops)
+    return Tally(ops, refs[:len(ops) + 1])
 
 
 def _run_one(wl, i, item, limit, tracer):
     out = None
     outcome = None
     problems = []
-    t0 = perf_counter()
+    t0 = clock.cpu_seconds()
     try:
         if item is None:
             raise OpTimeout
         if tracer is not None:
             tracer.enabled = True
-        if limit is None:
+        with time_limit(limit):
             out = wl.run(item)
-        else:
-            with time_limit(limit):
-                out = wl.run(item)
     except OpTimeout:
         outcome = "timeout"
     except SummationError as e:
@@ -331,7 +338,7 @@ def _run_one(wl, i, item, limit, tracer):
     finally:
         if tracer is not None:
             tracer.enabled = False
-    dt = perf_counter() - t0
+    dt = clock.cpu_seconds() - t0
     if outcome == "timeout":
         wl.timed_out()
     if outcome is None:
