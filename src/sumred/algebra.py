@@ -13,6 +13,19 @@ compare results by == on purpose.
 Polynomials are dense tuples, lowest degree first, with no trailing zero.
 The zero polynomial is the empty tuple; degree() reports -1 for it (standing
 in for degree minus infinity).
+
+poly_gcd picks its method by coefficient depth. Fraction coefficients take an
+integer primitive PRS (_qpoly_gcd). RatFunc coefficients of depth c >= 1 are
+cleared of denominators into ZZ[y_1..y_c, t] and take one gcd over ZZ
+(sympy's dmp_gcd: heuristic gcd, PRS fallback); Euclid over Q(y_1)..(y_c)[t]
+would swell its coefficients. By Gauss's lemma the ZZ gcd differs from the
+field gcd by a unit of the field below, so dividing by its leading
+coefficient gives the monic gcd, and each coefficient is rebuilt in
+canonical form from a numerator/denominator pair cancelled over ZZ.
+
+The optional integer cap (SUMRED_MAX_INT_BITS) is checked on the Fraction
+coefficients of every Poly built, so it covers returned values; the integers
+inside a gcd computation (_qpoly_gcd or the ZZ images) are not checked.
 """
 
 from __future__ import annotations
@@ -20,6 +33,11 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+
+from sympy.polys.densearith import dmp_exquo, dmp_mul
+from sympy.polys.densebasic import dmp_one, dmp_zero, dmp_zero_p
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_cancel, dmp_gcd, dmp_lcm
 
 from .errors import IntegerLimitError
 
@@ -542,16 +560,24 @@ def _cancel(num, den):
 
 
 def poly_gcd(a, b):
-    """Monic gcd over the coefficient field."""
+    """Monic gcd over the coefficient field.
+
+    Fraction coefficients take _qpoly_gcd; RatFunc coefficients of depth
+    c >= 1 take one gcd over ZZ[y_1..y_c, t], made monic over the field
+    below (Gauss's lemma; see the module docstring).
+    """
     if a.is_zero():
         return b.monic()[1] if not b.is_zero() else b
     if b.is_zero():
         return a.monic()[1]
     if isinstance(a.coeffs[0], Fraction):
         return _qpoly_gcd(a, b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()[1]
+    c = a.coeffs[0].depth
+    g = dmp_gcd(_zz_poly(a, c)[0], _zz_poly(b, c)[0], c, ZZ)
+    if len(g) == 1:
+        return _one_poly(c)
+    lead = g[0]
+    return Poly(tuple(_from_zz(x, lead, c) for x in reversed(g)))
 
 
 def poly_xgcd(a, b):
@@ -578,17 +604,67 @@ def poly_xgcd(a, b):
 
 def _qpoly_gcd(a, b):
     """gcd for Fraction-coefficient polynomials via integer subresultant PRS."""
-    za = _to_zpoly(a.coeffs)
-    zb = _to_zpoly(b.coeffs)
-    g = _zpoly_gcd(za, zb)
+    g = _zpoly_gcd(_to_zpoly(a.coeffs)[0], _to_zpoly(b.coeffs)[0])
     # make monic over Q
     lead = g[-1]
     return Poly(tuple(Fraction(c, lead) for c in g))
 
 
+def _zz_poly(p, c):
+    """(P, D) over ZZ with p = P / D, for p with coefficients of depth c.
+
+    P is a sympy dense polynomial in the c + 1 variables y_1..y_c, t (top
+    variable outermost), D one in y_1..y_c (an int when c = 0).
+    """
+    if c == 0:
+        ints, den = _to_zpoly(p.coeffs)
+        return [ZZ(x) for x in reversed(ints)], ZZ(den)
+    pairs = [_zz_value(x, c) for x in reversed(p.coeffs)]
+    u = c - 1
+    den = pairs[0][1]
+    for _n, d in pairs[1:]:
+        if d != den:
+            den = dmp_lcm(den, d, u, ZZ)
+    return [n if d == den else dmp_mul(n, dmp_exquo(den, d, u, ZZ), u, ZZ)
+            for n, d in pairs], den
+
+
+def _zz_value(v, depth):
+    """(N, D) over ZZ in y_1..y_depth with v = N / D."""
+    u = depth - 1
+    if v.num.is_zero():
+        return dmp_zero(u), dmp_one(u, ZZ)
+    # v = (pn / dn) / (pd / dd); dn and dd do not involve y_depth
+    pn, dn = _zz_poly(v.num, u)
+    if v.den.is_one():
+        return pn, [dn]
+    pd, dd = _zz_poly(v.den, u)
+    return dmp_mul(pn, [dd], u, ZZ), dmp_mul(pd, [dn], u, ZZ)
+
+
+def _from_zz(n, d, depth):
+    """The canonical value n / d, for n, d over ZZ in y_1..y_depth (d != 0).
+
+    n and d are cancelled over ZZ, hence coprime over the field below
+    (Gauss's lemma); dividing both by the leading coefficient of d makes the
+    denominator monic, and the coefficients are rebuilt the same way.
+    """
+    if depth == 0:
+        return Fraction(int(n), int(d))
+    u = depth - 1
+    if dmp_zero_p(n, u):
+        return zero_at(depth)
+    n, d = dmp_cancel(n, d, u, ZZ)
+    lead = d[0]
+    return RatFunc(Poly(tuple(_from_zz(x, lead, u) for x in reversed(n))),
+                   Poly(tuple(_from_zz(x, lead, u) for x in reversed(d))),
+                   depth, _trusted=True)
+
+
 def _to_zpoly(coeffs):
+    """(integer coefficients, den) with coeffs = integers / den."""
     den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _zpoly_content(a):

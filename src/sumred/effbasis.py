@@ -21,10 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
+    _is_zero_val,
     modular_residue,
     padic_expand,
     poly_sort_key,
-    value_sort_key,
     zero_at,
 )
 
@@ -98,14 +98,14 @@ def expand_remainder(ctx, v, depth):
     """All coordinates of a remainder: BasisElement -> constant (nonzero)."""
     npar = ctx.tower.nparams
     if isinstance(v, Fraction) or depth <= npar:
-        if _is_zero(v):
+        if _is_zero_val(v):
             return {}
         return {BASIS_ONE: v}
     out = {}
     poly, proper = ctx.tower.split_poly_proper(v)
     for j in range(poly.degree() + 1):
         c = poly.coeffs[j]
-        if _is_zero(c):
+        if _is_zero_val(c):
             continue
         for th, cv in expand_remainder(ctx, c, depth - 1).items():
             out[th.extended(depth, j)] = cv
@@ -124,7 +124,7 @@ def expand_remainder(ctx, v, depth):
                 mm = m - jdig
                 for k in range(dig.degree() + 1):
                     c = dig.coeffs[k]
-                    if _is_zero(c):
+                    if _is_zero_val(c):
                         continue
                     for th, cv in expand_remainder(ctx, c, depth - 1).items():
                         out[th.extended(depth, k, q, mm)] = cv
@@ -184,9 +184,3 @@ def coordinate_of(ctx, element, v, depth):
     if j >= len(digits):
         return zero_at(npar)
     return coordinate_of(ctx, element, digits[j].coeff(k, depth - 1), depth - 1)
-
-
-def _is_zero(v):
-    if isinstance(v, Fraction):
-        return not v
-    return v.is_zero()

@@ -20,7 +20,7 @@ import math
 import re
 from fractions import Fraction
 
-from .algebra import RatFunc, drop, frac_at, lift, poly_gcd
+from .algebra import RatFunc, _is_zero_val, drop, frac_at, lift, poly_gcd
 from .errors import ParseError
 
 
@@ -97,7 +97,7 @@ class _Parser:
             if op == "*":
                 v = v * w
             else:
-                if _is_zero(w):
+                if _is_zero_val(w):
                     raise ParseError("division by zero", position=pos + 1)
                 v = v / w
         return v
@@ -113,7 +113,7 @@ class _Parser:
             pos = self.tok_pos
             self._advance()
             n = self._exponent()
-            if n < 0 and _is_zero(v):
+            if n < 0 and _is_zero_val(v):
                 raise ParseError("zero raised to a negative power", position=pos + 1)
             v = v ** n
         return v if sign > 0 else -v
@@ -160,12 +160,6 @@ class _Parser:
                 self._expect("')'")
             self._advance()
         return -n if neg else n
-
-
-def _is_zero(v):
-    if isinstance(v, Fraction):
-        return not v
-    return v.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +231,7 @@ def _fmt_poly(p, depth, names):
     terms = []
     for j in range(p.degree(), -1, -1):
         c = p.coeffs[j]
-        if _is_zero(c):
+        if _is_zero_val(c):
             continue
         terms.append(_fmt_term(c, name, j, names))
     out = terms[0][0]

@@ -30,6 +30,7 @@ from fractions import Fraction
 from .algebra import (
     Poly,
     RatFunc,
+    _is_zero_val,
     coprime_split,
     frac_at,
     lift,
@@ -122,7 +123,7 @@ class ReductionContext:
         hit = self._second.get(level)
         if hit is None:
             _g, v = self.first_pair(level)
-            if _is_zero(v):
+            if _is_zero_val(v):
                 name = self.tower.gens[level - 1].name
                 raise InvalidTowerError(
                     f"increment of {name!r} is a difference of elements "
@@ -262,7 +263,7 @@ def reduce_polynomial(ctx, p, depth):
     for j in range(v.degree(), -1, -1):
         cj = v.coeff(j, below)
         ctil = coordinate_of(ctx, element, cj, below)
-        if _is_zero(ctil):
+        if _is_zero_val(ctil):
             continue
         ratio = lift(_div(ctil, c), below)
         w_j, b_j = ctx.echelon_entry(level, j)
@@ -314,12 +315,6 @@ def _zero_like_value(f, depth):
     if isinstance(f, Fraction):
         return Fraction(0)
     return zero_at(depth)
-
-
-def _is_zero(v):
-    if isinstance(v, Fraction):
-        return not v
-    return v.is_zero()
 
 
 def _div(a, b):

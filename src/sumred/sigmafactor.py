@@ -18,11 +18,16 @@ from fractions import Fraction
 
 from .algebra import (
     Poly,
+    _inv_val,
+    _is_one_val,
+    _is_zero_val,
+    _one_like,
     as_fraction,
+    frac_at,
+    lift,
     poly_gcd,
     poly_sort_key,
     vsqrt,
-    zero_at,
 )
 from .errors import UnsupportedFactorizationError
 
@@ -144,27 +149,13 @@ def _split_quadratic(g, depth):
     s = vsqrt(disc)
     if s is None:
         return [g]
-    if _is_zero(s):
+    if _is_zero_val(s):
         raise ValueError("squarefree quadratic with vanishing discriminant")
     half = Fraction(1, 2)
     r1 = (-b + s) * half
     r2 = (-b - s) * half
-    one = _one_of(r1)
+    one = _one_like(r1)
     return [Poly((-r1, one)), Poly((-r2, one))]
-
-
-def _is_zero(v):
-    if isinstance(v, Fraction):
-        return not v
-    return v.is_zero()
-
-
-def _one_of(v):
-    if isinstance(v, Fraction):
-        return Fraction(1)
-    from .algebra import one_at
-
-    return one_at(v.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +182,8 @@ def _factor_bottom_general(tower, g, depth):
         vals = [_sympy_scalar_to_value(c, tower, syms[:-1]) for c in coeffs]
         poly = Poly(vals)
         lc = poly.lc()
-        if not _value_is_one(lc):
-            poly = poly.scale(_inv(lc))
+        if not _is_one_val(lc):
+            poly = poly.scale(_inv_val(lc))
         parts.extend([poly] * e)
     prod = None
     for part in parts:
@@ -229,20 +220,18 @@ def _sympy_scalar_to_value(e, tower, param_syms):
 
     depth = tower.nparams
     if e.is_Integer:
-        return _embed(Fraction(int(e)), depth)
+        return frac_at(Fraction(int(e)), depth)
     if e.is_Rational:
-        return _embed(Fraction(int(e.p), int(e.q)), depth)
+        return frac_at(Fraction(int(e.p), int(e.q)), depth)
     if e.is_Symbol:
-        from .algebra import lift
-
         return lift(tower.var(str(e)), depth)
     if e.is_Add:
-        total = _embed(Fraction(0), depth)
+        total = frac_at(Fraction(0), depth)
         for term in e.args:
             total = total + _sympy_scalar_to_value(term, tower, param_syms)
         return total
     if e.is_Mul:
-        total = _embed(Fraction(1), depth)
+        total = frac_at(Fraction(1), depth)
         for term in e.args:
             total = total * _sympy_scalar_to_value(term, tower, param_syms)
         return total
@@ -253,21 +242,3 @@ def _sympy_scalar_to_value(e, tower, param_syms):
                 f"cannot convert exponent {exp} to an exact value")
         return _sympy_scalar_to_value(base, tower, param_syms) ** int(exp)
     raise UnsupportedFactorizationError(f"cannot convert {e} to an exact value")
-
-
-def _embed(fr, depth):
-    from .algebra import frac_at
-
-    return frac_at(fr, depth)
-
-
-def _value_is_one(v):
-    if isinstance(v, Fraction):
-        return v == 1
-    return v.is_one()
-
-
-def _inv(v):
-    if isinstance(v, Fraction):
-        return 1 / v
-    return v.inv()

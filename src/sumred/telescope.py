@@ -12,7 +12,8 @@ through that rebuild, which can lower the nesting depth of the answer.
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import RatFunc, as_fraction, drop, lift, one_at, vdepth, zero_at
+from .algebra import (RatFunc, _inv_val, _is_zero_val, as_fraction, drop, lift,
+                      one_at, vdepth, zero_at)
 from .effbasis import expand_remainder
 from .errors import InvalidTowerError
 from .reduction import ReductionContext, complete_reduction
@@ -64,7 +65,7 @@ class IsomorphismMap:
 def telescope(ctx, f):
     """Sigma-pair of f together with the summability verdict."""
     g, r = complete_reduction(ctx, ctx.tower.lift_to_top(f))
-    return TelescopeResult(g, r, _is_zero(r))
+    return TelescopeResult(g, r, _is_zero_val(r))
 
 
 def sigma_check(ctx, a, level=None):
@@ -77,7 +78,7 @@ def sigma_check(ctx, a, level=None):
     depth = tower.nparams + level
     a = _at_depth(a, depth)
     g, r = complete_reduction(ctx, a, depth)
-    return SigmaCheckResult(not _is_zero(r), g, r)
+    return SigmaCheckResult(not _is_zero_val(r), g, r)
 
 
 def _at_depth(v, depth):
@@ -107,7 +108,7 @@ def parameterized_telescope(ctx, fs):
     for vec in nullspace_basis(rows, m, _czero(ctx), _cone(ctx)):
         w = zero_at(tower.full_depth)
         for c, (g, _r) in zip(vec, pairs):
-            if not _is_zero(c):
+            if not _is_zero_val(c):
                 w = w + lift(c, tower.full_depth) * g
         out.append(BasisRow(vec, w))
     return ParamTelescopeBasis(out)
@@ -152,13 +153,13 @@ def well_generate(ctx):
                 for j in range(1, i)]
         b = substitute(src, old.delta, imgs, prefix)
         g, r = complete_reduction(step, b)
-        if _is_zero(r):
+        if _is_zero_val(r):
             raise InvalidTowerError(
                 f"increment of {old.name!r} telescopes below its level; "
                 f"the level is redundant")
         for lv, reps in step.reps.items():
             carried[lv] = tuple(reps)
-        if _is_zero(g):
+        if _is_zero_val(g):
             name = old.name
         else:
             renamed += 1
@@ -183,7 +184,7 @@ def depth_reduce(ctx, f):
     g, r = complete_reduction(nctx, image)
     before = nesting_depth(tower, f)
     after = max(nesting_depth(new_spec, g), nesting_depth(new_spec, r))
-    return DepthReduceResult(iso, g, r, _is_zero(r), before, after)
+    return DepthReduceResult(iso, g, r, _is_zero_val(r), before, after)
 
 
 def nesting_depth(tower, v):
@@ -246,14 +247,14 @@ def nullspace_basis(rows, m, zero, one):
     r = 0
     for col in range(m):
         piv = next((i for i in range(r, len(mat))
-                    if not _is_zero(mat[i][col])), None)
+                    if not _is_zero_val(mat[i][col])), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = _cinv(mat[r][col])
+        inv = _inv_val(mat[r][col])
         mat[r] = [e * inv for e in mat[r]]
         for i in range(len(mat)):
-            if i != r and not _is_zero(mat[i][col]):
+            if i != r and not _is_zero_val(mat[i][col]):
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
@@ -266,10 +267,10 @@ def nullspace_basis(rows, m, zero, one):
         vec[j] = one
         for i, pc in enumerate(pivots):
             vec[pc] = -mat[i][j]
-        lead = next(k for k in range(m) if not _is_zero(vec[k]))
-        inv = _cinv(vec[lead])
+        lead = next(k for k in range(m) if not _is_zero_val(vec[k]))
+        inv = _inv_val(vec[lead])
         out.append(tuple(e * inv for e in vec))
-    out.sort(key=lambda v: next(k for k in range(m) if not _is_zero(v[k])))
+    out.sort(key=lambda v: next(k for k in range(m) if not _is_zero_val(v[k])))
     return out
 
 
@@ -290,15 +291,3 @@ def _cnorm(ctx, v):
     if n == 0:
         return v if isinstance(v, Fraction) else as_fraction(v)
     return lift(v, n)
-
-
-def _cinv(v):
-    if isinstance(v, Fraction):
-        return Fraction(1) / v
-    return v.inv()
-
-
-def _is_zero(v):
-    if isinstance(v, Fraction):
-        return v == 0
-    return v.is_zero()

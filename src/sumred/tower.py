@@ -20,6 +20,8 @@ from fractions import Fraction
 from .algebra import (
     Poly,
     RatFunc,
+    _is_one_val,
+    _is_zero_val,
     drop,
     lift,
     one_at,
@@ -87,7 +89,7 @@ class TowerSpec:
                         f"increment of {gen.name!r} uses {gen.name!r} or a "
                         f"higher generator")
             delta = lift(delta, home)
-            if _value_is_zero(delta):
+            if _is_zero_val(delta):
                 raise InvalidTowerError(
                     f"increment of {gen.name!r} is zero; drop the level instead")
             seeds = []
@@ -118,7 +120,7 @@ class TowerSpec:
         if rep.degree() < 1:
             raise InvalidTowerError(f"seed for {gname!r} must be nonconstant")
         lc = rep.lc()
-        if not _value_is_one(lc):
+        if not _is_one_val(lc):
             raise InvalidTowerError(f"seed for {gname!r} must be monic")
         for c in rep.coeffs:
             if vdepth(c) != home:
@@ -197,7 +199,7 @@ class TowerSpec:
         out = pows[0].scale(coeffs[0])
         for j in range(1, len(coeffs)):
             c = coeffs[j]
-            if _value_is_zero(c):
+            if _is_zero_val(c):
                 continue
             out = out + pows[j].scale(c)
         return out
@@ -254,15 +256,3 @@ class TowerSpec:
 
     def lift_to_top(self, v):
         return lift(v, self.full_depth)
-
-
-def _value_is_zero(v):
-    if isinstance(v, Fraction):
-        return not v
-    return v.is_zero()
-
-
-def _value_is_one(v):
-    if isinstance(v, Fraction):
-        return v == 1
-    return v.is_one()

@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from sumred.algebra import (Poly, RatFunc, coprime_split, drop, frac_at,
                             lift, modular_residue, one_at, padic_expand,
                             poly_gcd, poly_sqrt, poly_xgcd, set_int_cap,
                             vdepth, zero_at)
 from sumred.errors import IntegerLimitError
+from sumred.sigmafactor import _poly_to_sympy
 
-from conftest import H_TOWER, rand_proper1
+from conftest import H_TOWER, N_TOWER, P_TOWER, parse, rand_proper1
 
 
 def rand_poly(rng, deg):
@@ -72,6 +74,46 @@ def test_poly_gcd_divides_both():
         assert (b * s) % g == Poly(())
         assert g.degree() >= s.degree()
         assert g.lc() == Fraction(1)
+
+
+# field name -> (tower, pool of coefficient texts)
+_GCD_FIELDS = {
+    "Q(x)[t1]": (H_TOWER, ("1", "x", "1/x", "x+2", "(x-1)/(x+3)",
+                           "2/(x^2+1)")),
+    "Q(x)(t1)[t2]": (N_TOWER, ("1", "x", "t1", "1/(t1+x)", "(x*t1-1)/(t1+1)",
+                               "t1^2/x")),
+    "Q(n)(x)[t1]": (P_TOWER, ("1", "n", "x", "1/(x+n)", "(n*x-1)/(x+2)",
+                              "n/(x^2-n)")),
+}
+
+
+@pytest.mark.parametrize("tower,pool", _GCD_FIELDS.values(),
+                         ids=_GCD_FIELDS.keys())
+def test_poly_gcd_matches_sympy_above_the_bottom(tower, pool):
+    rng = random.Random(120)
+    top = tower.gens[-1].name
+    depth = tower.full_depth
+    syms = sympy.symbols(f"y1:{depth}") + (sympy.Symbol("t"),)
+
+    def rand_top_poly(deg):
+        terms = [f"({rng.choice(pool)})*({rng.randint(-3, 3)})*{top}^{e}"
+                 for e in range(deg)]
+        terms.append(f"({rng.choice(pool)})*{top}^{deg}")
+        return parse(tower, " + ".join(terms)).num
+
+    for _ in range(12):
+        s = rand_top_poly(rng.randint(0, 2))
+        a = rand_top_poly(rng.randint(0, 2)) * s
+        b = rand_top_poly(rng.randint(0, 2)) * s
+        g = poly_gcd(a, b)
+        assert g.lc() == one_at(depth - 1)
+        assert g.degree() >= s.degree()
+        assert (a % g).is_zero() and (b % g).is_zero()
+        cleared = [sympy.fraction(sympy.together(
+            _poly_to_sympy(p, depth, syms)))[0] for p in (a, b)]
+        expect = sympy.gcd(*cleared)
+        expect = expect / sympy.Poly(expect, syms[-1]).LC()
+        assert sympy.cancel(_poly_to_sympy(g, depth, syms) - expect) == 0
 
 
 def test_poly_xgcd_bezout():

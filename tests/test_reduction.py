@@ -206,6 +206,19 @@ def test_sigma_pair_exactness():
         assert_sigma_pair(N_TOWER, f, g, r)
 
 
+@pytest.mark.parametrize("k", [6, 10])
+def test_sigma_pair_of_shifted_reciprocal(k):
+    # sigma^k(1/t1) - 1/t1 = delta(sum_{j<k} sigma^j(1/t1)); reducing it
+    # takes depth-2 gcds of degree about k in t1 over Q(x)
+    shift = " + ".join(f"1/(x+{j})" for j in range(1, k + 1))
+    f = parse(H_TOWER, f"1/(t1 + {shift}) - 1/t1")
+    g, r = complete_reduction(ReductionContext(H_TOWER), f)
+    assert _is_zero(r)
+    # the sigma-pair identity as sigma(g) = g + f: forming sigma(g) - g
+    # would multiply two degree-k denominators only to cancel them again
+    assert H_TOWER.sigma(g) == g + f
+
+
 _LEAN_DENS = ("t1", "t1+1", "t1+x")
 _LEAN_NUMS = ("1", "2", "x", "1/x")
 _LEAN_POLYS = ("0", "1", "x", "t1", "x*t1", "t1/x", "t1^2")
