@@ -23,6 +23,11 @@ field gcd by a unit of the field below, so dividing by its leading
 coefficient gives the monic gcd, and each coefficient is rebuilt in
 canonical form from a numerator/denominator pair cancelled over ZZ.
 
+The ZZ images are built by _zz_poly and turned back into monic polynomials
+over the field below by _monic_from_zz. sigmafactor factors denominators
+through the same pair: it hands the image to sympy's dmp_factor_list and
+rebuilds each factor, so it never reads the image format itself.
+
 The optional integer cap (SUMRED_MAX_INT_BITS) is checked on the Fraction
 coefficients of every Poly built, so it covers returned values; the integers
 inside a gcd computation (_qpoly_gcd or the ZZ images) are not checked.
@@ -261,9 +266,6 @@ class Poly:
                 nxt = [c]
             out = nxt
         return Poly(out)
-
-    def map_coeffs(self, fn):
-        return Poly(tuple(fn(c) for c in self.coeffs))
 
     # -- comparison --------------------------------------------------------
 
@@ -576,8 +578,7 @@ def poly_gcd(a, b):
     g = dmp_gcd(_zz_poly(a, c)[0], _zz_poly(b, c)[0], c, ZZ)
     if len(g) == 1:
         return _one_poly(c)
-    lead = g[0]
-    return Poly(tuple(_from_zz(x, lead, c) for x in reversed(g)))
+    return _monic_from_zz(g, c)
 
 
 def poly_xgcd(a, b):
@@ -640,6 +641,17 @@ def _zz_value(v, depth):
         return pn, [dn]
     pd, dd = _zz_poly(v.den, u)
     return dmp_mul(pn, [dd], u, ZZ), dmp_mul(pd, [dn], u, ZZ)
+
+
+def _monic_from_zz(f, c):
+    """The monic Poly over the field below for f != 0 over ZZ[y_1..y_c, t].
+
+    f is in the form _zz_poly returns (t outermost). Dividing by the leading
+    coefficient in t removes every factor free of t, a unit of the field
+    below; an f free of t comes back as the constant 1.
+    """
+    lead = f[0]
+    return Poly(tuple(_from_zz(x, lead, c) for x in reversed(f)))
 
 
 def _from_zz(n, d, depth):
@@ -729,64 +741,6 @@ def _zpoly_gcd(a, b):
         if len(r) == 1:
             return [1]
         a, b = b, _zpoly_primitive(r)
-
-
-# ---------------------------------------------------------------------------
-# square roots (exact; used by the quadratic factor splitter)
-# ---------------------------------------------------------------------------
-
-
-def vsqrt(v):
-    """Exact square root of a value, or None when v is not a square."""
-    if isinstance(v, Fraction):
-        if v < 0:
-            return None
-        rn = math.isqrt(v.numerator)
-        rd = math.isqrt(v.denominator)
-        if rn * rn == v.numerator and rd * rd == v.denominator:
-            return Fraction(rn, rd)
-        return None
-    sn = poly_sqrt(v.num)
-    if sn is None:
-        return None
-    sd = poly_sqrt(v.den)
-    if sd is None:
-        return None
-    return RatFunc(sn, sd, v.depth)
-
-
-def poly_sqrt(p):
-    """Exact square root of a polynomial, or None."""
-    if p.is_zero():
-        return p
-    d = p.degree()
-    if d % 2:
-        return None
-    m = d // 2
-    slc = vsqrt(p.lc())
-    if slc is None:
-        return None
-    zero = _zero_like(p.lc())
-    s = [zero] * (m + 1)
-    s[m] = slc
-    two_lc = slc + slc
-    for k in range(d - 1, m - 1, -1):
-        # coefficient of t^k in s*s must equal p_k; only s[k-m] is unknown
-        acc = p.coeff(k)
-        total = zero
-        for i in range(k - m + 1, m + 1):
-            j = k - i
-            if 0 <= j <= m and j != k - m:
-                total = total + s[i] * s[j]
-        s[k - m] = (acc - total) * _inv_val(two_lc)
-    cand = Poly(s)
-    if cand * cand == p:
-        return cand
-    return None
-
-
-def _sqrt_val(v):
-    return vsqrt(v)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,6 @@ def _build_parser():
         p.add_argument("--tower", help="tower description file")
         p.add_argument("--se-window", type=int, default=None,
                        help="shift-equivalence scan window for levels >= 2")
-        p.add_argument("--fast-path", choices=("auto", "on", "off"),
-                       default=None, help="polynomial ring fast path mode")
         p.add_argument("--seed-reps", action="append", default=[],
                        metavar="NAME:EXPR",
                        help="seed a shift-class representative (repeatable)")
@@ -172,8 +170,7 @@ def _with_seeds(tower, pairs):
         raise ParseError(f"--seed-reps names unknown generators: "
                          f"{sorted(extra)}")
     return TowerSpec(tuple(gens), params=tower.params,
-                     se_window=tower.se_window,
-                     ring_fast_path=tower.ring_fast_path)
+                     se_window=tower.se_window)
 
 
 def _seed_at(tower, name, expr):
@@ -192,8 +189,7 @@ def _seed_at(tower, name, expr):
 
 
 def _context(args, tower):
-    return ReductionContext(tower, se_window=args.se_window,
-                            fast_path=args.fast_path)
+    return ReductionContext(tower, se_window=args.se_window)
 
 
 def _rep_notes(ctx):

@@ -11,8 +11,11 @@ class SummationError(Exception):
 
 
 class UnsupportedFactorizationError(SummationError):
-    """An irreducible factorization was requested that the tower-level
-    oracle cannot supply (degree > 2, no shifted representative divides)."""
+    """An irreducible factorization was requested that cannot be supplied.
+
+    The factorizer covers every level and degree, so the engine itself no
+    longer raises this; the type stays part of the error vocabulary that
+    callers catch and report."""
 
 
 class InvalidTowerError(SummationError):

@@ -39,19 +39,16 @@ from .algebra import (
     zero_at,
 )
 from .effbasis import coordinate_of, leading_coordinate
-from .errors import InvalidTowerError, SummationError
+from .errors import InvalidTowerError
 from .sigmafactor import factor_monic, shift_equivalence
 
 
 class ReductionContext:
     """Session state for reductions over one tower."""
 
-    def __init__(self, tower, se_window=None, fast_path=None):
+    def __init__(self, tower, se_window=None):
         self.tower = tower
         self.se_window = tower.se_window if se_window is None else int(se_window)
-        self.fast_path = tower.ring_fast_path if fast_path is None else fast_path
-        if self.fast_path not in ("auto", "on", "off"):
-            raise ValueError(f"fast_path must be auto, on or off, not {self.fast_path!r}")
         self.reps = {level: list(tower.gens[level - 1].seed_reps)
                      for level in range(1, tower.nlevels + 1)}
         self.notes = []
@@ -69,9 +66,7 @@ class ReductionContext:
         key = (depth, p)
         hit = self._factor_cache.get(key)
         if hit is None:
-            level = depth - self.tower.nparams
-            hit = factor_monic(self.tower, p, depth, self.reps[level],
-                               self.se_window)
+            hit = factor_monic(p)
             self._factor_cache[key] = hit
         return hit
 
@@ -293,11 +288,6 @@ def complete_reduction(ctx, f, depth=None):
     if hit is not None:
         return hit
     poly, proper = ctx.tower.split_poly_proper(f)
-    if (ctx.fast_path == "on" and depth - npar >= 2
-            and not proper.num.is_zero()):
-        raise SummationError(
-            "input leaves the polynomial ring above level 1 but the ring "
-            "fast path is forced on")
     if poly.is_zero():
         g_poly, v_poly = Poly(()), Poly(())
     else:

@@ -229,8 +229,7 @@ def _levels_used(tower, v):
 def _spec_with(src, ctx, fixed, carried):
     gens = tuple(Generator(name, delta, seed_reps=carried.get(lv, ()))
                  for lv, (name, delta) in enumerate(fixed, start=1))
-    return TowerSpec(gens, params=src.params,
-                     se_window=ctx.se_window, ring_fast_path=ctx.fast_path)
+    return TowerSpec(gens, params=src.params, se_window=ctx.se_window)
 
 
 def _fresh_name(base, used):

@@ -29,6 +29,7 @@ from .algebra import (
     zero_at,
 )
 from .errors import InvalidTowerError
+from .sigmafactor import factor_monic
 
 _NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -36,10 +37,10 @@ _NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 class Generator:
     """One tower level: a name, its shift increment, optional seed factors.
 
-    seed_reps are monic polynomials in this generator (coefficients from the
-    field below) that pre-populate the level's representative set for
-    shift-equivalence classification, pinning which shifted copy of a factor
-    counts as the class representative.
+    seed_reps are monic irreducible polynomials in this generator
+    (coefficients from the field below) that pre-populate the level's
+    representative set for shift-equivalence classification, pinning which
+    shifted copy of a factor counts as the class representative.
     """
 
     __slots__ = ("name", "delta", "seed_reps")
@@ -53,13 +54,9 @@ class Generator:
 class TowerSpec:
     """Immutable description of a tower plus the shift automorphism."""
 
-    def __init__(self, gens, params=(), se_window=20, ring_fast_path="auto"):
+    def __init__(self, gens, params=(), se_window=20):
         self.params = tuple(params)
         self.se_window = int(se_window)
-        if ring_fast_path not in ("auto", "on", "off"):
-            raise InvalidTowerError(
-                f"ring_fast_path must be auto, on or off, not {ring_fast_path!r}")
-        self.ring_fast_path = ring_fast_path
         if self.se_window < 1:
             raise InvalidTowerError("se_window must be at least 1")
 
@@ -126,6 +123,8 @@ class TowerSpec:
             if vdepth(c) != home:
                 raise InvalidTowerError(
                     f"seed for {gname!r} has coefficients at the wrong level")
+        if factor_monic(rep) != [(rep, 1)]:
+            raise InvalidTowerError(f"seed for {gname!r} must be irreducible")
         return rep
 
     # -- naming and depths -------------------------------------------------
@@ -233,20 +232,6 @@ class TowerSpec:
                 break
             v = below
         return max(0, vdepth(v) - self.nparams)
-
-    def is_ring_element(self, v):
-        """True when v is polynomial in every generator (params stay free)."""
-        if isinstance(v, Fraction):
-            return True
-        if v.depth <= self.nparams:
-            return True
-        if not v.den.is_one():
-            return False
-        return all(self.is_ring_element(c) for c in v.num.coeffs)
-
-    def poly_increments_above_level_one(self):
-        """True when every increment above level 1 is polynomial."""
-        return all(self.is_ring_element(g.delta) for g in self.gens[1:])
 
     def split_poly_proper(self, v):
         """v = polynomial part + proper part at its own depth."""

@@ -3,21 +3,21 @@
 Grammar, one directive per line, '#' starts a comment:
 
     params n m            parameter names for the constant field
-    option se_window 30   options: se_window, ring_fast_path
+    option se_window 30   the only option: shift-equivalence scan window
     gen x : 1             generator with its increment expression
     seed x : x            representative seed for that generator's level
 
 Generator lines are read top to bottom; each increment expression may
 use the parameters and the generators declared above it.  Seed lines
-must name an already declared generator and parse to a monic polynomial
-in that generator.
+must name an already declared generator and parse to a monic irreducible
+polynomial in that generator.
 """
 
 from .errors import ParseError
 from .exprio import parse_expression
 from .tower import Generator, TowerSpec
 
-_OPTIONS = ("se_window", "ring_fast_path")
+_OPTIONS = ("se_window",)
 
 
 def load_tower_file(path):
@@ -72,12 +72,14 @@ def parse_tower_text(text):
             raise ParseError("se_window must be an integer", line=None)
 
     params = tuple(params or ())
+    # lines are parsed in towers without seeds, so each seed is checked once,
+    # by the final TowerSpec
+    bare = []
     gens = []
     for name, expr, lineno in records:
-        prefix = TowerSpec(tuple(gens), params=params)
-        delta = _parse_at(prefix, expr, lineno)
-        probe = TowerSpec(tuple(gens) + (Generator(name, delta),),
-                          params=params)
+        delta = _parse_at(TowerSpec(tuple(bare), params=params), expr, lineno)
+        bare.append(Generator(name, delta))
+        probe = TowerSpec(tuple(bare), params=params)
         reps = [_seed_poly(probe, sexpr, name, sline)
                 for sexpr, sline in seeds[name]]
         gens.append(Generator(name, delta, seed_reps=reps))

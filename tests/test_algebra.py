@@ -8,12 +8,24 @@ import sympy
 
 from sumred.algebra import (Poly, RatFunc, coprime_split, drop, frac_at,
                             lift, modular_residue, one_at, padic_expand,
-                            poly_gcd, poly_sqrt, poly_xgcd, set_int_cap,
-                            vdepth, zero_at)
+                            poly_gcd, poly_xgcd, set_int_cap, vdepth, zero_at)
 from sumred.errors import IntegerLimitError
-from sumred.sigmafactor import _poly_to_sympy
 
 from conftest import H_TOWER, N_TOWER, P_TOWER, parse, rand_proper1
+
+
+def _poly_to_sympy(p, depth, syms):
+    """p, with coefficients of depth - 1, as a sympy expression in syms."""
+    x = syms[depth - 1]
+    return sum((_value_to_sympy(c, syms) * x ** i
+                for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _value_to_sympy(v, syms):
+    if isinstance(v, Fraction):
+        return sympy.Rational(v.numerator, v.denominator)
+    return (_poly_to_sympy(v.num, v.depth, syms)
+            / _poly_to_sympy(v.den, v.depth, syms))
 
 
 def rand_poly(rng, deg):
@@ -179,16 +191,6 @@ def test_poly_exact_div_roundtrip():
         a = nonzero_poly(rng, rng.randint(0, 4))
         b = nonzero_poly(rng, rng.randint(0, 4))
         assert (a * b).exact_div(b) == a
-
-
-def test_poly_sqrt():
-    rng = random.Random(111)
-    for _ in range(40):
-        p = nonzero_poly(rng, rng.randint(0, 4))
-        s = poly_sqrt(p * p)
-        assert s == p or s == -p
-    assert poly_sqrt(Poly((Fraction(0), Fraction(1)))) is None
-    assert poly_sqrt(Poly((Fraction(2),))) is None
 
 
 def test_ratfunc_canonical_form():

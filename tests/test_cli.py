@@ -38,3 +38,17 @@ def test_reduce_parse_error_is_a_typed_document(capsys):
     assert doc["command"] == "reduce"
     assert doc["error"]["type"] == "ParseError"
     assert "t3" in doc["error"]["message"]
+
+
+def test_reduce_irreducible_cubic_above_the_bottom(capsys):
+    code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
+                                  "--expr", "1/(t1^3+x)"])
+    assert code == 0
+    assert doc["summable"] is False
+    assert doc["r"] == "1/(t1^3 + x)"
+    # its difference sigma(f) - f is summable
+    code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC, "--expr",
+                                  "1/((t1 + 1/(x+1))^3 + x + 1) - 1/(t1^3+x)"])
+    assert code == 0
+    assert doc["summable"] is True
+    assert doc["r"] == "0"

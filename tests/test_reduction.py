@@ -8,7 +8,6 @@ import pytest
 
 from sumred.algebra import Poly, RatFunc, drop, lift, one_at, zero_at
 from sumred.effbasis import BASIS_ONE, coordinate_of
-from sumred.errors import SummationError
 from sumred.reduction import (ReductionContext, auxiliary_reduction,
                               complete_reduction, reduce_polynomial,
                               reduce_proper)
@@ -322,37 +321,6 @@ def test_minimality_against_constructed_splits():
         hp, hprop = H_TOWER.split_poly_proper(h2)
         assert rp.degree() <= hp.degree() or hp.is_zero() and rp.is_zero()
         assert rprop.den.degree() <= hprop.den.degree()
-
-
-def _ring_poly(tower, rng, deg):
-    coeff_pool = ["1", "2", "-3", "x", "x+1", "1/x", "x^2", "1/(x+3)", "x/2"]
-
-    def build(d):
-        """A value of depth d that is polynomial in every level above 1."""
-        if d == 1:
-            return _dd(parse(tower, rng.choice(coeff_pool)), 1)
-        coeffs = tuple(build(d - 1) for _ in range(rng.randint(1, deg + 1)))
-        return RatFunc.from_poly(Poly(coeffs), d)
-
-    return build(tower.full_depth)
-
-
-def test_ring_fast_path_matches_full_path():
-    rng = random.Random(608)
-    for _ in range(60):
-        p = _ring_poly(B_TOWER, rng, 2)
-        ctx_on = ReductionContext(B_TOWER, fast_path="on")
-        ctx_off = ReductionContext(B_TOWER, fast_path="off")
-        g_on, r_on = complete_reduction(ctx_on, p)
-        g_off, r_off = complete_reduction(ctx_off, p)
-        assert r_on == r_off
-        assert g_on == g_off
-
-
-def test_ring_fast_path_rejects_proper_parts():
-    ctx = ReductionContext(B_TOWER, fast_path="on")
-    with pytest.raises(SummationError):
-        complete_reduction(ctx, parse(B_TOWER, "1/t1"))
 
 
 def test_lemma_sigma_simple_content_is_fixed():

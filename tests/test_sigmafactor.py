@@ -1,16 +1,18 @@
-"""Shift classes, squarefree splitting, and denominator factorization."""
+"""Shift classes and denominator factorization."""
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from sumred.algebra import Poly, one_at, poly_gcd, poly_sort_key, zero_at
-from sumred.errors import UnsupportedFactorizationError
-from sumred.sigmafactor import (factor_monic, shift_equivalence,
-                                squarefree_decomposition)
+from sumred.algebra import Poly, one_at, poly_sort_key, zero_at
+from sumred.reduction import ReductionContext
+from sumred.sigmafactor import factor_monic, shift_equivalence
+from sumred.towerfile import parse_tower_text
 
 from conftest import H_TOWER, Q_TOWER, parse
+from test_algebra import _GCD_FIELDS, _poly_to_sympy
 
 
 def _q(*coeffs):
@@ -50,74 +52,100 @@ def test_shift_equivalence_scans_a_window_above_the_bottom():
     assert shift_equivalence(H_TOWER, T1, shifted_by_x, 2, 20) is None
 
 
-def test_squarefree_decomposition_reconstructs():
-    rng = random.Random(401)
-    pool = [_q(1, 1), _q(-2, 1), _q(3, 0, 1), _q(1, 1, 1), _q(-1, 2, 1)]
-    for _ in range(60):
-        chosen = rng.sample(range(len(pool)), rng.randint(1, 3))
-        powers = [rng.randint(1, 3) for _ in chosen]
-        p = _q(1)
-        for i, m in zip(chosen, powers):
-            p = p * pool[i] ** m
-        parts = squarefree_decomposition(p)
-        rebuilt = _q(1)
-        for fac, mult in parts:
-            rebuilt = rebuilt * fac ** mult
-            assert poly_gcd(fac, fac.deriv()).degree() == 0
-        assert rebuilt == p
-        for i, (a, _) in enumerate(parts):
-            for b, _ in parts[i + 1:]:
-                assert poly_gcd(a, b).degree() == 0
-
-
-def test_squarefree_input_passes_through():
-    p = _q(1, 1) * _q(3, 0, 1)
-    assert squarefree_decomposition(p) == [(p, 1)]
+def _product(facs, one):
+    out = Poly((one,))
+    for fac, mult in facs:
+        out = out * fac ** mult
+    return out
 
 
 def test_factor_monic_bottom_level():
     p = _q(2, 1) ** 2 * _q(3, 1)
-    facs = factor_monic(Q_TOWER, p, 1, [], 20)
+    facs = factor_monic(p)
     assert facs == [(_q(2, 1), 2), (_q(3, 1), 1)]
-    # irreducible quadratics come out of the general fallback
     p2 = _q(1, 1, 1) * _q(2, 0, 1)
-    facs2 = factor_monic(Q_TOWER, p2, 1, [], 20)
+    facs2 = factor_monic(p2)
     assert facs2 == _by_rep([(_q(1, 1, 1), 1), (_q(2, 0, 1), 1)])
 
 
 def test_factor_monic_uses_seeded_representatives():
+    spec = parse_tower_text("gen x : 1\nseed x : x^2 + 1\n")
     rep = _q(1, 0, 1)
-    p = Q_TOWER.sigma_poly(rep, 1, 2) * Q_TOWER.sigma_poly(rep, 1, -1)
-    facs = factor_monic(Q_TOWER, p, 1, [rep], 20)
-    rebuilt = _q(1)
-    for fac, mult in facs:
-        rebuilt = rebuilt * fac ** mult
-    assert rebuilt == p
+    p = spec.sigma_poly(rep, 1, 2) * spec.sigma_poly(rep, 1, -1)
+    facs = factor_monic(p)
+    assert _product(facs, Fraction(1)) == p
     assert sorted(m for _f, m in facs) == [1, 1]
+    # the seeded representative names both shifted copies
+    ctx = ReductionContext(spec)
+    assert ctx.classify_den(p, 1) == ((rep, -1, 1), (rep, 2, 1))
+    assert ctx.notes == []
 
 
 def test_factor_monic_level_two_quadratics():
     g = _lin2("-1/x") * _lin2("1/x")
-    facs = factor_monic(H_TOWER, g, 2, [], 20)
+    facs = factor_monic(g)
     assert facs == _by_rep([(_lin2("-1/x"), 1), (_lin2("1/x"), 1)])
     h = _lin2("x") * _lin2("2*x")
-    fh = factor_monic(H_TOWER, h, 2, [], 20)
+    fh = factor_monic(h)
     assert fh == _by_rep([(_lin2("x"), 1), (_lin2("2*x"), 1)])
     irr = Poly((parse(Q_TOWER, "-x"), zero_at(1), one_at(1)))
-    assert factor_monic(H_TOWER, irr, 2, [], 20) == [(irr, 1)]
+    assert factor_monic(irr) == [(irr, 1)]
 
 
 def test_factor_monic_level_two_cubic_with_covering_rep():
-    p = T1 * H_TOWER.sigma_poly(T1, 2, 1) * H_TOWER.sigma_poly(T1, 2, -1)
-    facs = factor_monic(H_TOWER, p, 2, [T1], 20)
-    rebuilt = Poly((one_at(1),))
-    for fac, mult in facs:
-        rebuilt = rebuilt * fac ** mult
-    assert rebuilt == p
+    spec = parse_tower_text(
+        "gen x : 1\nseed x : x\ngen t1 : 1/(x+1)\nseed t1 : t1\n")
+    p = T1 * spec.sigma_poly(T1, 2, 1) * spec.sigma_poly(T1, 2, -1)
+    facs = factor_monic(p)
+    assert _product(facs, one_at(1)) == p
     assert len(facs) == 3
+    ctx = ReductionContext(spec)
+    assert ctx.classify_den(p, 2) == ((T1, -1, 1), (T1, 0, 1), (T1, 1, 1))
 
 
-def test_factor_monic_rejects_uncovered_cubic_above_bottom():
+def test_factor_monic_splits_any_degree_above_bottom():
     cubic = Poly((parse(Q_TOWER, "-x"), zero_at(1), zero_at(1), one_at(1)))
-    with pytest.raises(UnsupportedFactorizationError):
-        factor_monic(H_TOWER, cubic, 2, [], 20)
+    assert factor_monic(cubic) == [(cubic, 1)]
+    p = _lin2("x") ** 2 * cubic * _lin2("1/x")
+    facs = _by_rep([(_lin2("x"), 2), (cubic, 1), (_lin2("1/x"), 1)])
+    assert factor_monic(p) == facs
+    # a unit of the field below is no factor
+    assert factor_monic(p.scale(parse(Q_TOWER, "(x+1)/3"))) == facs
+
+
+@pytest.mark.parametrize("tower,pool", _GCD_FIELDS.values(),
+                         ids=_GCD_FIELDS.keys())
+def test_factor_monic_matches_sympy_above_the_bottom(tower, pool):
+    rng = random.Random(130)
+    top = tower.gens[-1].name
+    depth = tower.full_depth
+    syms = sympy.symbols(f"y1:{depth}") + (sympy.Symbol("t"),)
+    one = one_at(depth - 1)
+
+    def rand_monic(deg):
+        terms = [f"({rng.choice(pool)})*({rng.randint(-3, 3)})*{top}^{e}"
+                 for e in range(deg)]
+        terms.append(f"{top}^{deg}")
+        return parse(tower, " + ".join(terms)).num
+
+    for _ in range(8):
+        p = Poly((one,))
+        for _k in range(rng.randint(1, 3)):
+            p = p * rand_monic(rng.randint(1, 2)) ** rng.randint(1, 2)
+        facs = factor_monic(p)
+        assert facs == _by_rep(facs)
+        for fac, _mult in facs:
+            assert fac.lc() == one and fac.degree() >= 1
+        assert _product(facs, one) == p
+        cleared = sympy.fraction(sympy.together(
+            _poly_to_sympy(p, depth, syms)))[0]
+        expect = []
+        for f, mult in sympy.Poly(cleared, *syms).factor_list()[1]:
+            if f.degree(syms[-1]) >= 1:
+                f = f.as_expr()
+                expect.append((f / sympy.Poly(f, syms[-1]).LC(), mult))
+        got = [(_poly_to_sympy(f, depth, syms), mult) for f, mult in facs]
+        assert len(got) == len(expect)
+        for f, mult in got:
+            assert any(m == mult and sympy.cancel(f - e) == 0
+                       for e, m in expect)

@@ -43,11 +43,9 @@ def test_comments_and_blank_lines():
 def test_options_are_applied():
     spec = parse_tower_text(
         "option se_window 33\n"
-        "option ring_fast_path off\n"
         "gen x : 1\n"
         "seed x : x\n")
     assert spec.se_window == 33
-    assert spec.ring_fast_path == "off"
 
 
 def test_seeds_reach_the_reduction_context():
