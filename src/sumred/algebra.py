@@ -14,6 +14,18 @@ Polynomials are dense tuples, lowest degree first, with no trailing zero.
 The zero polynomial is the empty tuple; degree() reports -1 for it (standing
 in for degree minus infinity).
 
+At the bottom level (Fraction coefficients) the work runs over ZZ. A product
+or a division of two polynomials of at least two terms each clears both once
+(_to_zpoly), multiplies or pseudo-divides plain ints (_qpoly_divmod scales
+the running remainder by lc / gcd rather than inverting the leading
+coefficient) and builds each output coefficient once as a Fraction. The gcd
+is an integer primitive PRS (_qpoly_gcd). Scalar products and divisions, and
+every operation on RatFunc coefficients, stay coefficient by coefficient.
+
+RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) it forms
+n1 * (d2/g) + n2 * (d1/g) over d1 * (d2/g), and only gcd(num, g) can cancel,
+nothing at all when g = 1, so the full product d1 * d2 is never reduced.
+
 poly_gcd picks its method by coefficient depth. Fraction coefficients take an
 integer primitive PRS (_qpoly_gcd). RatFunc coefficients of depth c >= 1 are
 cleared of denominators into ZZ[y_1..y_c, t] and take one gcd over ZZ
@@ -30,7 +42,9 @@ rebuilds each factor, so it never reads the image format itself.
 
 The optional integer cap (SUMRED_MAX_INT_BITS) is checked on the Fraction
 coefficients of every Poly built, so it covers returned values; the integers
-inside a gcd computation (_qpoly_gcd or the ZZ images) are not checked.
+inside the bottom-level kernels and the gcd computations (the cleared
+operands, the pseudo-remainders, _qpoly_gcd and the ZZ images) are not
+checked.
 """
 
 from __future__ import annotations
@@ -160,6 +174,15 @@ class Poly:
         if len(b) == 1:
             c = b[0]
             return Poly(tuple(x * c for x in a))
+        if isinstance(a[0], Fraction):
+            (ia, da), (ib, db) = _to_zpoly(a), _to_zpoly(b)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(ia):
+                if x:
+                    for j, y in enumerate(ib):
+                        out[i + j] += x * y
+            d = da * db
+            return Poly(tuple(Fraction(n, d) for n in out))
         zero = _zero_like(a[0])
         out = [zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -207,6 +230,8 @@ class Poly:
         db = len(b) - 1
         if len(a) - 1 < db:
             return _P_ZERO, self
+        if db > 0 and isinstance(b[0], Fraction):
+            return _qpoly_divmod(a, b)
         inv_lc = _inv_val(b[-1])
         q = [_zero_like(b[-1])] * (len(a) - db)
         for i in range(len(a) - 1, db - 1, -1):
@@ -328,10 +353,21 @@ class RatFunc:
             return other
         if other.num.is_zero():
             return self
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den, self.depth)
-        num = self.num * other.den + other.num * self.den
-        return RatFunc(num, self.den * other.den, self.depth)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return RatFunc(self.num + other.num, d1, self.depth)
+        # gcd-first (Henrici; see the module docstring): canonical inputs
+        # leave only gcd(num, g) to cancel, nothing when g = 1
+        g = _P_ZERO if d1.is_one() or d2.is_one() else poly_gcd(d1, d2)
+        if g.degree() <= 0:
+            num = self.num * d2 + other.num * d1
+            return RatFunc(num, d1 * d2, self.depth, _trusted=True)
+        d1, d2 = d1.exact_div(g), d2.exact_div(g)
+        num = self.num * d2 + other.num * d1
+        g2 = poly_gcd(num, g)
+        if g2.degree() > 0:
+            num, g = num.exact_div(g2), g.exact_div(g2)
+        return RatFunc(num, d1 * d2 * g, self.depth, _trusted=True)
 
     __radd__ = __add__
 
@@ -611,6 +647,39 @@ def _qpoly_gcd(a, b):
     return Poly(tuple(Fraction(c, lead) for c in g))
 
 
+def _qpoly_divmod(a, b):
+    """Poly.divmod of Fraction coefficient tuples by pseudo-division over ZZ.
+
+    With a = A / da and b = B / db cleared, each step scales the running
+    remainder by m = lc(B) / gcd(lc(B), lead) so that its leading term
+    cancels over ZZ. The product s of those scales keeps s * A = Q * B + R,
+    so the quotient term found at scale s is (c / s) * (db / da) over Q and
+    the remainder is R / (s * da).
+    """
+    ia, da = _to_zpoly(a)
+    ib, db = _to_zpoly(b)
+    n = len(ib) - 1
+    lb = ib[-1]
+    q = [F0] * (len(ia) - n)
+    s = 1
+    for i in range(len(ia) - 1, n - 1, -1):
+        lead = ia[i]
+        if not lead:
+            continue
+        g = math.gcd(lead, lb)
+        m, c = lb // g, lead // g
+        if m != 1:
+            s *= m
+            for j in range(i):
+                ia[j] *= m
+        k = i - n
+        for j in range(n):
+            ia[k + j] -= c * ib[j]
+        q[k] = Fraction(c * db, s * da)
+    sd = s * da
+    return Poly(q), Poly(tuple(Fraction(x, sd) for x in ia[:n]))
+
+
 def _zz_poly(p, c):
     """(P, D) over ZZ with p = P / D, for p with coefficients of depth c.
 
@@ -675,8 +744,11 @@ def _from_zz(n, d, depth):
 
 def _to_zpoly(coeffs):
     """(integer coefficients, den) with coeffs = integers / den."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    dens = [c.denominator for c in coeffs]
+    den = math.lcm(*dens)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
 def _zpoly_content(a):

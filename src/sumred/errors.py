@@ -40,4 +40,5 @@ class ParseError(SummationError):
 
 
 class IntegerLimitError(SummationError):
-    """An intermediate integer exceeded the configured bit-size cap."""
+    """An integer exceeded the configured bit-size cap, or has more digits
+    than Python converts between integers and text."""

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import RatFunc, _is_zero_val, drop, frac_at, lift, poly_gcd
-from .errors import ParseError
+from .errors import IntegerLimitError, ParseError
 
 
 def _dropped(v):
@@ -131,7 +132,7 @@ class _Parser:
             return v
         if tok.isdigit():
             self._advance()
-            return frac_at(Fraction(int(tok)), self.tower.full_depth)
+            return frac_at(Fraction(_text_int(tok)), self.tower.full_depth)
         if tok[0].isalpha() or tok[0] == "_":
             try:
                 var = self.tower.var(tok)
@@ -153,7 +154,7 @@ class _Parser:
             self._advance()
         if self.tok is None or not self.tok.isdigit():
             self._expect("an integer exponent")
-        n = int(self.tok)
+        n = _text_int(self.tok)
         self._advance()
         if closing:
             if self.tok != ")":
@@ -216,9 +217,9 @@ def _fmt(v, names):
 
 def _fmt_fraction(q):
     if q.denominator == 1:
-        s = str(q.numerator)
+        s = _int_text(q.numerator)
         return s, (_NEG if q < 0 else _ATOM)
-    s = f"{abs(q.numerator)}/{q.denominator}"
+    s = f"{_int_text(abs(q.numerator))}/{_int_text(q.denominator)}"
     if q < 0:
         return "-" + s, _NEG
     return s, _PROD
@@ -289,12 +290,12 @@ def _coeff_parts(c, names):
     c = _dropped(c)
     if isinstance(c, Fraction):
         a, b = c.numerator, c.denominator
-        tail = "" if b == 1 else f"/{b}"
+        tail = "" if b == 1 else f"/{_int_text(b)}"
         if a == 1:
             return "", tail
         if a == -1:
             return "-", tail
-        return f"{a}*", tail
+        return f"{_int_text(a)}*", tail
     if c.den.is_one():
         if c.is_one():
             return "", ""
@@ -317,6 +318,28 @@ def _coeff_parts(c, names):
     if n_k >= _SUM:
         n_s = f"({n_s})"
     return f"{n_s}*", tail
+
+
+def _int_text(n):
+    """str(n), or IntegerLimitError where Python refuses the conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
+def _text_int(digits):
+    """int(digits), or IntegerLimitError where Python refuses the conversion."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
+def _digit_limit_error():
+    return IntegerLimitError(
+        f"integer has more than {sys.get_int_max_str_digits()} decimal "
+        "digits, Python's limit for converting between integers and text")
 
 
 def _is_one(v):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from sumred.algebra import Poly, RatFunc, lift
+from sumred.cli import _random_poly
 from sumred.exprio import parse_expression
 from sumred.reduction import ReductionContext
 from sumred.towerfile import parse_tower_text
@@ -55,21 +56,6 @@ def rand_fraction(rng, lo=-9, hi=9):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
 
 
-def rand_poly_value(tower, rng, deg):
-    """Dense polynomial at full depth with integer coefficients in [-9, 9]."""
-    def build(depth, bound):
-        if depth == 0:
-            return Fraction(rng.randint(-9, 9))
-        coeffs = []
-        for e in range(bound + 1):
-            c = build(depth - 1, bound - e)
-            if depth - 1 >= 1:
-                c = RatFunc.from_poly(c, depth - 1)
-            coeffs.append(c)
-        return Poly(tuple(coeffs))
-    return RatFunc.from_poly(build(tower.full_depth, deg), tower.full_depth)
-
-
 def rand_proper1(rng):
     """Random proper fraction in the bottom variable, depth 1."""
     factors = []
@@ -113,7 +99,7 @@ def rand_proper2(tower, rng):
 
 def rand_value(tower, rng, deg=2):
     """Polynomial part plus up to two proper parts."""
-    v = rand_poly_value(tower, rng, deg)
+    v = _random_poly(tower, deg, rng)
     if rng.random() < 0.7:
         v = v + lift(rand_proper1(rng), tower.full_depth)
     if tower.nlevels >= 2 and rng.random() < 0.5:

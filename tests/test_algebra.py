@@ -75,6 +75,56 @@ def test_poly_divmod():
         assert r.is_zero() or r.degree() < b.degree()
 
 
+def _ref_mul(a, b):
+    """Per-coefficient Fraction product of coefficient tuples."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_divmod(a, b):
+    """Per-coefficient Fraction long division of coefficient tuples."""
+    a, n = list(a), len(b) - 1
+    if len(a) - 1 < n:
+        return [], a
+    q = [Fraction(0)] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] / b[-1]
+        q[i - n] = c
+        for j in range(n + 1):
+            a[i - n + j] -= c * b[j]
+    return q, a[:n]
+
+
+def _sparse_rational_poly(rng, deg):
+    """Exact degree deg, rational coefficients, about a third of the inner
+    ones zero, leading coefficient rarely 1."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+              if rng.random() < 0.66 else Fraction(0) for _ in range(deg)]
+    lead = Fraction(rng.choice([1, -1, 2, -3, 5, 12]), rng.choice([1, 2, 7, 9]))
+    return Poly(tuple(coeffs) + (lead,))
+
+
+def test_poly_mul_and_divmod_match_fraction_reference():
+    rng = random.Random(121)
+    for _ in range(150):
+        a = _sparse_rational_poly(rng, rng.randint(0, 8))
+        b = _sparse_rational_poly(rng, rng.randint(1, 5))
+        prod = a * b
+        assert prod == Poly(_ref_mul(a.coeffs, b.coeffs))
+        assert all(type(c) is Fraction for c in prod.coeffs)
+        # a may have lower degree than b; prod / b has the zero inner
+        # coefficients of a as quotient terms, where the running remainder's
+        # top term has already cancelled
+        for dividend in (a, prod, prod + a % b):
+            q, r = dividend.divmod(b)
+            q_ref, r_ref = _ref_divmod(dividend.coeffs, b.coeffs)
+            assert q == Poly(q_ref) and r == Poly(r_ref)
+            assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+
+
 def test_poly_gcd_divides_both():
     rng = random.Random(103)
     for _ in range(60):
@@ -203,6 +253,41 @@ def test_ratfunc_canonical_form():
         v = RatFunc(p, q, 1)
         assert v.den.lc() == Fraction(1)
         assert poly_gcd(v.num, v.den).degree() == 0
+
+
+def _assert_canonical_sum(a, b):
+    depth = a.depth
+    v = a + b
+    assert v.den.lc() == one_at(depth - 1)
+    assert v.num.is_zero() or poly_gcd(v.num, v.den).degree() == 0
+    assert v == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den, depth)
+    return v
+
+
+def test_ratfunc_sum_with_common_denominator_factor_depth_one():
+    rng = random.Random(122)
+    for _ in range(60):
+        s = poly_of_degree(rng, rng.randint(1, 2))
+        a = RatFunc(nonzero_poly(rng, 3), poly_of_degree(rng, 1) * s, 1)
+        b = RatFunc(nonzero_poly(rng, 3), poly_of_degree(rng, 2) * s, 1)
+        _assert_canonical_sum(a, b)
+        # c - a keeps s in its denominator; adding a back cancels all of it
+        c = RatFunc(nonzero_poly(rng, 2), poly_of_degree(rng, 2), 1)
+        assert _assert_canonical_sum(a, c - a) == c
+
+
+def test_ratfunc_sum_with_common_denominator_factor_depth_two():
+    rng = random.Random(123)
+    nums = ("1", "x", "1/x", "t1", "x*t1 - 1", "(x+1)/(x+3)")
+    dens = ("t1 + 1", "t1 - x", "x*t1 + 1/(x+1)", "t1^2 + x")
+    for _ in range(25):
+        s = rng.choice(dens)
+        d1, d2, d3 = rng.sample(dens, 3)
+        a = parse(H_TOWER, f"({rng.choice(nums)})/(({s})*({d1}))")
+        b = parse(H_TOWER, f"({rng.choice(nums)})/(({s})*({d2}))")
+        c = parse(H_TOWER, f"({rng.choice(nums)})/({d3})")
+        _assert_canonical_sum(a, b)
+        assert _assert_canonical_sum(a, c - a) == c
 
 
 def test_ratfunc_field_axioms_by_evaluation():
@@ -344,5 +429,19 @@ def test_int_cap_allows_small_work():
         a = rand_poly(rng, 3)
         b = rand_poly(rng, 3)
         assert (a + b) - b == a
+    finally:
+        set_int_cap(None)
+
+
+def test_int_cap_covers_products_and_quotients_of_several_terms():
+    set_int_cap(32)
+    try:
+        p = Poly((Fraction(2) ** 20, Fraction(1)))
+        with pytest.raises(IntegerLimitError):
+            p * p * p
+        # 3 t + 2^-20 divides t^2 + 1 with remainder 1 + 2^-40 / 9
+        with pytest.raises(IntegerLimitError):
+            Poly((Fraction(1), Fraction(0), Fraction(1))).divmod(
+                Poly((Fraction(1, 2 ** 20), Fraction(3))))
     finally:
         set_int_cap(None)

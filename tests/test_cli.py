@@ -1,6 +1,7 @@
 """The command line: JSON documents and exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,24 @@ def test_reduce_irreducible_cubic_above_the_bottom(capsys):
     assert code == 0
     assert doc["summable"] is True
     assert doc["r"] == "0"
+
+
+# 2^(4L) has about 1.2 L decimal digits, past Python's limit of L digits
+# for converting between integers and text; so do 5000 nines at L = 4300
+@pytest.mark.parametrize("expr", [f"2^{4 * sys.get_int_max_str_digits()}",
+                                  "9" * 5000 + " + x"],
+                         ids=["printed", "parsed"])
+def test_reduce_huge_integer_is_a_typed_document(capsys, expr):
+    code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
+                                  "--expr", expr])
+    assert code == 2
+    assert doc["error"]["type"] == "IntegerLimitError"
+    assert str(sys.get_int_max_str_digits()) in doc["error"]["message"]
+
+
+def test_bench_reports_summable_rows(capsys):
+    code, doc = run_json(capsys, ["bench", "--degrees", "3", "--trials", "1"])
+    assert code == 0
+    assert doc["command"] == "bench"
+    assert [(row["degree"], row["trials"], row["all_summable"])
+            for row in doc["bench"]] == [(3, 1, True)]
