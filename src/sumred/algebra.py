@@ -16,11 +16,12 @@ in for degree minus infinity).
 
 At the bottom level (Fraction coefficients) the work runs over ZZ. A product
 or a division of two polynomials of at least two terms each clears both once
-(_to_zpoly), multiplies or pseudo-divides plain ints (_qpoly_divmod scales
+(_to_zpoly), multiplies or pseudo-divides plain ints (_zpoly_pdivmod scales
 the running remainder by lc / gcd rather than inverting the leading
 coefficient) and builds each output coefficient once as a Fraction. The gcd
-is an integer primitive PRS (_qpoly_gcd). Scalar products and divisions, and
-every operation on RatFunc coefficients, stay coefficient by coefficient.
+is an integer primitive PRS (_qpoly_gcd) on the same pseudo-division
+kernel. Scalar products and divisions, and every operation on RatFunc
+coefficients, stay coefficient by coefficient.
 
 RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) it forms
 n1 * (d2/g) + n2 * (d1/g) over d1 * (d2/g), and only gcd(num, g) can cancel,
@@ -650,34 +651,15 @@ def _qpoly_gcd(a, b):
 def _qpoly_divmod(a, b):
     """Poly.divmod of Fraction coefficient tuples by pseudo-division over ZZ.
 
-    With a = A / da and b = B / db cleared, each step scales the running
-    remainder by m = lc(B) / gcd(lc(B), lead) so that its leading term
-    cancels over ZZ. The product s of those scales keeps s * A = Q * B + R,
-    so the quotient term found at scale s is (c / s) * (db / da) over Q and
-    the remainder is R / (s * da).
+    With a = A / da and b = B / db cleared, s * A = Q * B + R gives the
+    quotient Q * db / (s * da) and the remainder R / (s * da) over Q.
     """
     ia, da = _to_zpoly(a)
     ib, db = _to_zpoly(b)
-    n = len(ib) - 1
-    lb = ib[-1]
-    q = [F0] * (len(ia) - n)
-    s = 1
-    for i in range(len(ia) - 1, n - 1, -1):
-        lead = ia[i]
-        if not lead:
-            continue
-        g = math.gcd(lead, lb)
-        m, c = lb // g, lead // g
-        if m != 1:
-            s *= m
-            for j in range(i):
-                ia[j] *= m
-        k = i - n
-        for j in range(n):
-            ia[k + j] -= c * ib[j]
-        q[k] = Fraction(c * db, s * da)
+    q, r, s = _zpoly_pdivmod(ia, ib)
     sd = s * da
-    return Poly(q), Poly(tuple(Fraction(x, sd) for x in ia[:n]))
+    return (Poly(tuple(Fraction(c * db, sd) for c in q)),
+            Poly(tuple(Fraction(c, sd) for c in r)))
 
 
 def _zz_poly(p, c):
@@ -746,8 +728,6 @@ def _to_zpoly(coeffs):
     """(integer coefficients, den) with coeffs = integers / den."""
     dens = [c.denominator for c in coeffs]
     den = math.lcm(*dens)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
@@ -769,26 +749,36 @@ def _zpoly_primitive(a):
     return a
 
 
-def _zpoly_prem(a, b):
-    """Pseudo-remainder of integer coefficient lists (dense, low first)."""
-    a = list(a)
-    db = len(b) - 1
+def _zpoly_pdivmod(a, b):
+    """Pseudo-division of integer coefficient lists (dense, low first).
+
+    Returns (q, r, s) with s * a = q * b + r and len(r) = len(b) - 1 (r may
+    end in zeros). Each step scales the running remainder and the quotient
+    found so far by m = lc(b) / gcd(lc(b), lead), so that the leading term
+    cancels over ZZ; s is the product of those scales. a is not changed.
+    """
+    r = list(a)
+    n = len(b) - 1
     lb = b[-1]
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
+    q = [0] * max(len(r) - n, 0)
+    s = 1
+    for i in range(len(r) - 1, n - 1, -1):
+        lead = r[i]
+        if not lead:
             continue
-        la = a[-1]
-        a = [c * lb for c in a]
-        shift = da - db
-        for j in range(db + 1):
-            a[shift + j] -= la * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
+        g = math.gcd(lead, lb)
+        m, c = lb // g, lead // g
+        k = i - n
+        if m != 1:
+            s *= m
+            for j in range(i):
+                r[j] *= m
+            for j in range(k + 1, len(q)):
+                q[j] *= m
+        for j in range(n):
+            r[k + j] -= c * b[j]
+        q[k] = c
+    return q, r[:n], s
 
 
 def _zpoly_gcd(a, b):
@@ -807,7 +797,9 @@ def _zpoly_gcd(a, b):
     a = _zpoly_primitive(a)
     b = _zpoly_primitive(b)
     while True:
-        r = _zpoly_prem(a, b)
+        r = _zpoly_pdivmod(a, b)[1]
+        while r and r[-1] == 0:
+            r.pop()
         if not r:
             return b
         if len(r) == 1:

@@ -56,16 +56,28 @@ def test_reduce_irreducible_cubic_above_the_bottom(capsys):
 
 
 # 2^(4L) has about 1.2 L decimal digits, past Python's limit of L digits
-# for converting between integers and text; so do 5000 nines at L = 4300
-@pytest.mark.parametrize("expr", [f"2^{4 * sys.get_int_max_str_digits()}",
-                                  "9" * 5000 + " + x"],
+# for converting between integers and text; so do L + 700 nines. The test
+# sets L itself, since the interpreter's limit can be changed or switched off.
+DIGIT_LIMIT = 4300
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("expr", [f"2^{4 * DIGIT_LIMIT}",
+                                  "9" * (DIGIT_LIMIT + 700) + " + x"],
                          ids=["printed", "parsed"])
-def test_reduce_huge_integer_is_a_typed_document(capsys, expr):
+def test_reduce_huge_integer_is_a_typed_document(capsys, digit_limit, expr):
     code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
                                   "--expr", expr])
     assert code == 2
     assert doc["error"]["type"] == "IntegerLimitError"
-    assert str(sys.get_int_max_str_digits()) in doc["error"]["message"]
+    assert str(DIGIT_LIMIT) in doc["error"]["message"]
 
 
 def test_bench_reports_summable_rows(capsys):
