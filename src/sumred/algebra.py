@@ -215,10 +215,7 @@ class Poly:
             if not self.coeffs:
                 raise ValueError("0**0 of unknown depth")
             return Poly((_one_like(self.coeffs[0]),))
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _power(self, n)
 
     # -- euclidean structure ----------------------------------------------
 
@@ -276,23 +273,6 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def compose_linear(self, a):
-        """Substitute (variable + a) for the variable; a has coefficient depth."""
-        if not self.coeffs:
-            return self
-        out = []
-        for c in reversed(self.coeffs):
-            # out := out * (t + a) + c
-            nxt = [_zero_like(c)] + out
-            for i, o in enumerate(out):
-                nxt[i] = nxt[i] + o * a
-            if nxt:
-                nxt[0] = nxt[0] + c
-            else:
-                nxt = [c]
-            out = nxt
-        return Poly(out)
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -306,6 +286,19 @@ class Poly:
 
 
 _P_ZERO = Poly(())
+
+
+def _power(base, n):
+    """base ** n for n >= 1 by square-and-multiply, in at most 2 log2(n)
+    products rather than n - 1."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 class RatFunc:
@@ -331,9 +324,6 @@ class RatFunc:
 
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
-
-    def is_poly(self):
-        return self.den.is_one()
 
     # -- field operations --------------------------------------------------
 
@@ -414,11 +404,7 @@ class RatFunc:
     def __pow__(self, n):
         if n == 0:
             return one_at(self.depth)
-        base = self if n > 0 else self.inv()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return _power(self if n > 0 else self.inv(), abs(n))
 
     # -- comparison --------------------------------------------------------
 
@@ -541,13 +527,20 @@ def drop(v):
     return v.num.coeffs[0]
 
 
-def as_fraction(v):
-    """Return the Fraction a constant value represents, or None."""
-    while not isinstance(v, Fraction):
-        v = drop(v)
-        if v is None:
-            return None
-    return v
+def lower(v, depth=None):
+    """v with every trivial top level stripped off, as low as it goes.
+
+    With a depth, the value at exactly that depth (lifted back up when it
+    goes lower), or None when v uses a variable above that depth.
+    """
+    while True:
+        below = drop(v)
+        if below is None:
+            break
+        v = below
+    if depth is None:
+        return v
+    return lift(v, depth) if vdepth(v) <= depth else None
 
 
 def value_sort_key(v):

@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, drop, load_int_cap_from_env, vdepth
+from .algebra import Poly, RatFunc, load_int_cap_from_env, lower
 from .errors import ParseError, SummationError
 from .exprio import format_poly, format_value, parse_expression
 from .reduction import ReductionContext, complete_reduction
@@ -148,12 +148,13 @@ def _load_tower(args, default_text=None):
         tower = parse_tower_text(default_text)
     else:
         raise ParseError("--tower FILE is required")
-    if args.seed_reps:
-        tower = _with_seeds(tower, args.seed_reps)
+    if args.seed_reps or args.se_window is not None:
+        tower = _with_options(tower, args.seed_reps, args.se_window)
     return tower
 
 
-def _with_seeds(tower, pairs):
+def _with_options(tower, pairs, se_window):
+    """Rebuild the tower with extra seed representatives and another window."""
     extra = {}
     for item in pairs:
         name, sep, expr = item.partition(":")
@@ -169,27 +170,20 @@ def _with_seeds(tower, pairs):
     if extra:
         raise ParseError(f"--seed-reps names unknown generators: "
                          f"{sorted(extra)}")
-    return TowerSpec(tuple(gens), params=tower.params,
-                     se_window=tower.se_window)
+    if se_window is None:
+        se_window = tower.se_window
+    return TowerSpec(tuple(gens), params=tower.params, se_window=se_window)
 
 
 def _seed_at(tower, name, expr):
-    v = parse_expression(tower, expr)
-    d = tower.depth_of_name(name)
-    while vdepth(v) > d:
-        below = drop(v)
-        if below is None:
-            raise ParseError(
-                f"seed for {name!r} uses higher generators: {expr!r}")
-        v = below
-    if vdepth(v) < d or not v.den.is_one():
+    v = lower(parse_expression(tower, expr), tower.depth_of_name(name))
+    if v is None:
+        raise ParseError(
+            f"seed for {name!r} uses higher generators: {expr!r}")
+    if not v.den.is_one():
         raise ParseError(f"seed for {name!r} is not a polynomial in it: "
                          f"{expr!r}")
     return v.num
-
-
-def _context(args, tower):
-    return ReductionContext(tower, se_window=args.se_window)
 
 
 def _rep_notes(ctx):
@@ -215,7 +209,7 @@ def _emit(args, doc, human):
 
 def _cmd_reduce(args):
     tower = _load_tower(args)
-    ctx = _context(args, tower)
+    ctx = ReductionContext(tower)
     f = parse_expression(tower, args.expr)
     t0 = time.perf_counter()
     res = telescope(ctx, f)
@@ -243,7 +237,7 @@ def _cmd_reduce(args):
 
 def _cmd_param_telescope(args):
     tower = _load_tower(args)
-    ctx = _context(args, tower)
+    ctx = ReductionContext(tower)
     fs = [parse_expression(tower, e) for e in args.expr]
     t0 = time.perf_counter()
     basis = parameterized_telescope(ctx, fs)
@@ -270,7 +264,7 @@ def _cmd_param_telescope(args):
 
 def _cmd_sigma_check(args):
     tower = _load_tower(args)
-    ctx = _context(args, tower)
+    ctx = ReductionContext(tower)
     a = parse_expression(tower, args.expr)
     t0 = time.perf_counter()
     res = sigma_check(ctx, a, args.level)
@@ -304,7 +298,7 @@ def _tower_listing(spec):
 
 def _cmd_well_generate(args):
     tower = _load_tower(args)
-    ctx = _context(args, tower)
+    ctx = ReductionContext(tower)
     t0 = time.perf_counter()
     new_spec, iso = well_generate(ctx)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -329,7 +323,7 @@ def _cmd_well_generate(args):
 
 def _cmd_depth_reduce(args):
     tower = _load_tower(args)
-    ctx = _context(args, tower)
+    ctx = ReductionContext(tower)
     f = parse_expression(tower, args.expr)
     t0 = time.perf_counter()
     res = depth_reduce(ctx, f)
@@ -367,7 +361,7 @@ def _cmd_depth_reduce(args):
 
 def _cmd_verify(args):
     tower = _load_tower(args)
-    ctx = _context(args, tower)
+    ctx = ReductionContext(tower)
     f = parse_expression(tower, args.expr)
     k_from, k_to = _parse_range(args.verify_range)
     assign = SequenceAssignment(
@@ -420,7 +414,7 @@ def _cmd_bench(args):
             rng = random.Random(args.seed * 1000003 + degree * 1009 + trial)
             p = _random_poly(tower, degree, rng)
             f = tower.delta(p)
-            ctx = _context(args, tower)
+            ctx = ReductionContext(tower)
             t0 = time.perf_counter()
             g, r = complete_reduction(ctx, f)
             times.append((time.perf_counter() - t0) * 1000.0)

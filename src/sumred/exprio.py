@@ -21,19 +21,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import RatFunc, _is_zero_val, drop, frac_at, lift, poly_gcd
+from .algebra import RatFunc, _is_zero_val, frac_at, lift, lower, poly_gcd
 from .errors import IntegerLimitError, ParseError
 
-
-def _dropped(v):
-    """Strip every trivial top level off a value."""
-    if isinstance(v, Fraction):
-        return v
-    while True:
-        below = drop(v)
-        if below is None:
-            return v
-        v = below
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
@@ -287,7 +277,7 @@ def _cleared_pair(num, den, depth):
 def _coeff_parts(c, names):
     """Split a coefficient around its monomial: returns (prefix, suffix) so a
     term prints as prefix + monomial + suffix, e.g. 1/2 -> ("", "/2")."""
-    c = _dropped(c)
+    c = lower(c)
     if isinstance(c, Fraction):
         a, b = c.numerator, c.denominator
         tail = "" if b == 1 else f"/{_int_text(b)}"
@@ -340,12 +330,6 @@ def _digit_limit_error():
     return IntegerLimitError(
         f"integer has more than {sys.get_int_max_str_digits()} decimal "
         "digits, Python's limit for converting between integers and text")
-
-
-def _is_one(v):
-    if isinstance(v, Fraction):
-        return v == 1
-    return v.is_one()
 
 
 def _is_minus_one(v):

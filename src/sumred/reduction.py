@@ -46,9 +46,8 @@ from .sigmafactor import factor_monic, shift_equivalence
 class ReductionContext:
     """Session state for reductions over one tower."""
 
-    def __init__(self, tower, se_window=None):
+    def __init__(self, tower):
         self.tower = tower
-        self.se_window = tower.se_window if se_window is None else int(se_window)
         self.reps = {level: list(tower.gens[level - 1].seed_reps)
                      for level in range(1, tower.nlevels + 1)}
         self.notes = []
@@ -87,7 +86,7 @@ class ReductionContext:
             placed = False
             for rep in reps:
                 k = shift_equivalence(self.tower, rep, irr, depth,
-                                      self.se_window)
+                                      self.tower.se_window)
                 if k is not None:
                     out.append((rep, k, mult))
                     placed = True
@@ -190,30 +189,22 @@ def reduce_proper(ctx, f, depth):
     pieces = coprime_split(f.num, moduli)
     g = zero
     r = zero
-    tower = ctx.tower
-    for (rep, shift, mult), num, modulus in zip(comps, pieces, moduli):
+    for (_rep, shift, _mult), num, modulus in zip(comps, pieces, moduli):
         if num.is_zero():
             continue
-        repm = rep ** mult if shift != 0 else modulus
-        if shift == 0:
-            r = r + RatFunc(num, repm, depth, _trusted=True)
-            continue
-        if shift > 0:
-            cur_num = num
-            cur_den = tower.sigma_poly(repm, depth, shift - 1)
-            for _i in range(shift):
-                cur_num = tower.sigma_poly(cur_num, depth, -1)
-                g = g + RatFunc(cur_num, cur_den, depth, _trusted=True)
-                cur_den = tower.sigma_poly(cur_den, depth, -1)
-            r = r + RatFunc(cur_num, repm, depth, _trusted=True)
-        else:
-            cur_num = num
-            cur_den = modulus
-            for _i in range(-shift):
-                g = g - RatFunc(cur_num, cur_den, depth, _trusted=True)
-                cur_num = tower.sigma_poly(cur_num, depth, 1)
-                cur_den = tower.sigma_poly(cur_den, depth, 1)
-            r = r + RatFunc(cur_num, repm, depth, _trusted=True)
+        # num/modulus is sigma^s(e), s = shift, for e over rep^mult. Step
+        # it back to e: sigma^s(e) - e = sigma(h) - h with h the sum of
+        # sigma^j(e) over 0 <= j < s (for s < 0, minus the sum over
+        # s <= j < 0), and those are the terms passed on the way
+        term = RatFunc(num, modulus, depth, _trusted=True)
+        step = -1 if shift > 0 else 1
+        for _i in range(abs(shift)):
+            if shift < 0:
+                g = g - term
+            term = ctx.tower.sigma(term, step)
+            if shift > 0:
+                g = g + term
+        r = r + term
     return g, r
 
 
@@ -260,7 +251,7 @@ def reduce_polynomial(ctx, p, depth):
         ctil = coordinate_of(ctx, element, cj, below)
         if _is_zero_val(ctil):
             continue
-        ratio = lift(_div(ctil, c), below)
+        ratio = lift(ctil / c, below)
         w_j, b_j = ctx.echelon_entry(level, j)
         v = v - b_j.scale(ratio)
         q = q + w_j.scale(ratio)
@@ -306,10 +297,3 @@ def _zero_like_value(f, depth):
         return Fraction(0)
     return zero_at(depth)
 
-
-def _div(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    if isinstance(a, Fraction):
-        return b.inv() * a
-    return a / b

@@ -23,7 +23,7 @@ from __future__ import annotations
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dmp_factor_list
 
-from .algebra import _monic_from_zz, _zz_poly, as_fraction, poly_sort_key, vdepth
+from .algebra import _monic_from_zz, _zz_poly, lower, poly_sort_key, vdepth
 
 
 def shift_equivalence(tower, p, q, depth, window):
@@ -39,7 +39,7 @@ def shift_equivalence(tower, p, q, depth, window):
         a = tower.gens[0].delta
         diff = q.coeff(d - 1, depth - 1) - p.coeff(d - 1, depth - 1)
         k_val = diff / (a * d)
-        k_fr = as_fraction(k_val)
+        k_fr = lower(k_val, 0)
         if k_fr is None or k_fr.denominator != 1:
             return None
         k = int(k_fr)

@@ -12,8 +12,8 @@ through that rebuild, which can lower the nesting depth of the answer.
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import (RatFunc, _inv_val, _is_zero_val, as_fraction, drop, lift,
-                      one_at, vdepth, zero_at)
+from .algebra import (RatFunc, _inv_val, _is_zero_val, lift, lower, one_at,
+                      vdepth, zero_at)
 from .effbasis import expand_remainder
 from .errors import InvalidTowerError
 from .reduction import ReductionContext, complete_reduction
@@ -76,20 +76,12 @@ def sigma_check(ctx, a, level=None):
     if not 0 <= level <= tower.nlevels:
         raise ValueError(f"no tower level {level}")
     depth = tower.nparams + level
-    a = _at_depth(a, depth)
+    a = lower(a, depth)
+    if a is None:
+        raise InvalidTowerError(
+            "increment uses generators at or above the requested level")
     g, r = complete_reduction(ctx, a, depth)
     return SigmaCheckResult(not _is_zero_val(r), g, r)
-
-
-def _at_depth(v, depth):
-    """Coerce v to exactly `depth`, erroring if higher variables appear."""
-    while not isinstance(v, Fraction) and vdepth(v) > depth:
-        below = drop(v)
-        if below is None:
-            raise InvalidTowerError(
-                "increment uses generators at or above the requested level")
-        v = below
-    return lift(v, depth)
 
 
 def parameterized_telescope(ctx, fs):
@@ -104,8 +96,9 @@ def parameterized_telescope(ctx, fs):
                       key=lambda e: e.sort_key())
     m = len(fs)
     rows = [[_cnorm(ctx, c.get(e)) for c in coords] for e in elements]
-    out = [BasisRow((_czero(ctx),) * m, lift(Fraction(1), tower.full_depth))]
-    for vec in nullspace_basis(rows, m, _czero(ctx), _cone(ctx)):
+    n = tower.nparams
+    out = [BasisRow((zero_at(n),) * m, lift(Fraction(1), tower.full_depth))]
+    for vec in nullspace_basis(rows, m, zero_at(n), one_at(n)):
         w = zero_at(tower.full_depth)
         for c, (g, _r) in zip(vec, pairs):
             if not _is_zero_val(c):
@@ -146,7 +139,7 @@ def well_generate(ctx):
     gparts = []
     renamed = 0
     for i, old in enumerate(src.gens, start=1):
-        prefix = _spec_with(src, ctx, fixed, carried)
+        prefix = _spec_with(src, fixed, carried)
         step = ReductionContext(prefix)
         imgs = [lift(prefix.gen_var(j), prefix.full_depth)
                 + lift(gparts[j - 1], prefix.full_depth)
@@ -167,7 +160,7 @@ def well_generate(ctx):
         used.add(name)
         fixed.append((name, r))
         gparts.append(g)
-    final = _spec_with(src, ctx, fixed, carried)
+    final = _spec_with(src, fixed, carried)
     images = [lift(final.gen_var(i), final.full_depth)
               + lift(gparts[i - 1], final.full_depth)
               for i in range(1, src.nlevels + 1)]
@@ -226,10 +219,10 @@ def _levels_used(tower, v):
     return out
 
 
-def _spec_with(src, ctx, fixed, carried):
+def _spec_with(src, fixed, carried):
     gens = tuple(Generator(name, delta, seed_reps=carried.get(lv, ()))
                  for lv, (name, delta) in enumerate(fixed, start=1))
-    return TowerSpec(gens, params=src.params, se_window=ctx.se_window)
+    return TowerSpec(gens, params=src.params, se_window=src.se_window)
 
 
 def _fresh_name(base, used):
@@ -273,20 +266,7 @@ def nullspace_basis(rows, m, zero, one):
     return out
 
 
-def _czero(ctx):
-    n = ctx.tower.nparams
-    return Fraction(0) if n == 0 else zero_at(n)
-
-
-def _cone(ctx):
-    n = ctx.tower.nparams
-    return Fraction(1) if n == 0 else one_at(n)
-
-
 def _cnorm(ctx, v):
-    if v is None:
-        return _czero(ctx)
+    """A coordinate as a constant at the parameter depth (0 when absent)."""
     n = ctx.tower.nparams
-    if n == 0:
-        return v if isinstance(v, Fraction) else as_fraction(v)
-    return lift(v, n)
+    return zero_at(n) if v is None else lift(v, n)

@@ -7,9 +7,13 @@ level i. Values are the algebra-module chain: depth 1..nparams are the
 parameters, depth nparams+i is generator i, so a value of depth
 nparams + i lives in C(t_1, ..., t_i).
 
-The increment of a level-1 generator always lies in C, so its k-fold shift
-collapses to a single substitution t -> t + k*a. Higher levels iterate
-single shifts, with the powers of (t + a) cached per level and direction.
+The k-fold shift is one substitution at every level: sigma^k(t_i) =
+t_i + S_k, where S_k is the sum of sigma^j(a_i) over 0 <= j < k (for k < 0,
+minus the sum over k <= j < 0), so sigma^k(sum c_j t_i^j) is the sum of
+sigma^k(c_j) (t_i + S_k)^j. The powers of t_i + S_k are cached per level
+and k. At level 1 the increment and the coefficients lie in C, which the
+shift fixes, so there S_k = k*a_1 in closed form and the coefficients are
+used as they are.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .algebra import (
     RatFunc,
     _is_one_val,
     _is_zero_val,
-    drop,
     lift,
+    lower,
     one_at,
     vdepth,
     zero_at,
@@ -78,14 +82,11 @@ class TowerSpec:
                 raise InvalidTowerError(f"duplicate name {gen.name!r}")
             seen.add(gen.name)
             home = self.nparams + level - 1
-            delta = gen.delta
-            if vdepth(delta) > home:
-                delta = self._try_drop_to(delta, home)
-                if delta is None:
-                    raise InvalidTowerError(
-                        f"increment of {gen.name!r} uses {gen.name!r} or a "
-                        f"higher generator")
-            delta = lift(delta, home)
+            delta = lower(gen.delta, home)
+            if delta is None:
+                raise InvalidTowerError(
+                    f"increment of {gen.name!r} uses {gen.name!r} or a "
+                    f"higher generator")
             if _is_zero_val(delta):
                 raise InvalidTowerError(
                     f"increment of {gen.name!r} is zero; drop the level instead")
@@ -101,14 +102,6 @@ class TowerSpec:
         for i, gen in enumerate(self.gens):
             self._by_name[gen.name] = self.nparams + i + 1
         self._pows = {}
-
-    @staticmethod
-    def _try_drop_to(v, depth):
-        while vdepth(v) > depth:
-            v = drop(v)
-            if v is None:
-                return None
-        return v
 
     @staticmethod
     def _check_seed(rep, gname, home):
@@ -174,49 +167,44 @@ class TowerSpec:
         """Shift a polynomial in the depth-level variable, coefficients below."""
         if k == 0 or p.is_zero() or depth <= self.nparams:
             return p
-        level = depth - self.nparams
-        if level == 1:
-            if p.degree() == 0:
-                return p
-            if abs(k) == 1:
-                return self._step(p, depth, k, coeffs_fixed=True)
-            a = self.gens[0].delta
-            return p.compose_linear(a * k)
-        step = 1 if k > 0 else -1
-        for _ in range(abs(k)):
-            p = self._step(p, depth, step, coeffs_fixed=False)
-        return p
-
-    def _step(self, p, depth, direction, coeffs_fixed):
-        if coeffs_fixed:
-            coeffs = p.coeffs
-        else:
-            coeffs = [self.sigma(c, direction) for c in p.coeffs]
+        coeffs = p.coeffs
+        if depth - 1 > self.nparams:
+            coeffs = [self.sigma(c, k) for c in coeffs]
         if len(coeffs) == 1:
             return Poly(coeffs)
-        pows = self._pow_list(depth, direction, len(coeffs) - 1)
-        out = pows[0].scale(coeffs[0])
-        for j in range(1, len(coeffs)):
-            c = coeffs[j]
-            if _is_zero_val(c):
-                continue
-            out = out + pows[j].scale(c)
+        pows = self._pow_list(depth, k, len(coeffs) - 1)
+        # pows[0] is 1: start from the constant term instead of scaling it
+        out = Poly(coeffs[:1])
+        for c, pw in zip(coeffs[1:], pows[1:]):
+            if not _is_zero_val(c):
+                out = out + pw.scale(c)
         return out
 
-    def _pow_list(self, depth, direction, upto):
-        key = (depth, direction)
+    def _pow_list(self, depth, k, upto):
+        """[1, t + S_k, (t + S_k)^2, ...] up to the power upto, cached."""
+        key = (depth, k)
         pows = self._pows.get(key)
         if pows is None:
-            level = depth - self.nparams
-            a = self.gens[level - 1].delta
-            shift = a if direction > 0 else -self.sigma(a, -1)
-            below = depth - 1
-            base = Poly((shift, one_at(below)))
-            pows = [Poly((one_at(below),)), base]
+            one = one_at(depth - 1)
+            pows = [Poly((one,)), Poly((self._shift_sum(depth, k), one))]
             self._pows[key] = pows
         while len(pows) <= upto:
             pows.append(pows[-1] * pows[1])
         return pows
+
+    def _shift_sum(self, depth, k):
+        """S_k with sigma^k(t) = t + S_k for the depth-level variable t."""
+        a = self.gens[depth - self.nparams - 1].delta
+        if depth - 1 <= self.nparams:
+            return a * k
+        # k < 0 sums the terms -sigma^j(a) for j = -1 down to k
+        step = 1 if k > 0 else -1
+        term = a if k > 0 else -self.sigma(a, -1)
+        total = term
+        for _ in range(abs(k) - 1):
+            term = self.sigma(term, step)
+            total = total + term
+        return total
 
     def delta(self, v):
         """Forward difference: shift of v minus v."""
@@ -226,12 +214,7 @@ class TowerSpec:
 
     def level(self, v):
         """Smallest generator level whose field contains v (0 for constants)."""
-        while True:
-            below = drop(v)
-            if below is None:
-                break
-            v = below
-        return max(0, vdepth(v) - self.nparams)
+        return max(0, vdepth(lower(v)) - self.nparams)
 
     def split_poly_proper(self, v):
         """v = polynomial part + proper part at its own depth."""

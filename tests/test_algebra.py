@@ -206,15 +206,6 @@ def test_poly_shift_up_is_monomial_multiplication():
         assert p.shift_up(k).eval(pt) == p.eval(pt) * pt ** k
 
 
-def test_poly_compose_linear():
-    rng = random.Random(107)
-    for _ in range(40):
-        p = rand_poly(rng, 4)
-        a = Fraction(rng.randint(-4, 4))
-        pt = Fraction(rng.randint(-5, 5))
-        assert p.compose_linear(a).eval(pt) == p.eval(pt + a)
-
-
 def test_poly_deriv_product_rule():
     rng = random.Random(108)
     for _ in range(40):
@@ -310,6 +301,25 @@ def test_ratfunc_pow():
     assert v ** 0 == one_at(1)
     assert v ** 3 == v * v * v
     assert v ** -2 == (v * v).inv()
+
+
+@pytest.mark.parametrize("cls", [Poly, RatFunc])
+def test_power_takes_logarithmically_many_products(monkeypatch, cls):
+    # square-and-multiply: 16 squarings and 5 products for n = 100000,
+    # where repeated multiplication takes n - 1 = 99999
+    n = 100000
+    base = Poly((Fraction(2),)) if cls is Poly else frac_at(Fraction(2), 1)
+    want = Poly((Fraction(2 ** n),)) if cls is Poly else frac_at(Fraction(2 ** n), 1)
+    calls = []
+    mul = cls.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    assert base ** n == want
+    assert len(calls) <= 2 * n.bit_length()
 
 
 def test_ratfunc_int_and_fraction_mixing():

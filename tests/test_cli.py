@@ -8,7 +8,16 @@ import pytest
 
 from sumred import cli
 
-HARMONIC = str(Path(__file__).resolve().parent.parent / "towers" / "harmonic.tower")
+ROOT = Path(__file__).resolve().parent.parent
+HARMONIC = str(ROOT / "towers" / "harmonic.tower")
+NESTED = str(ROOT / "towers" / "nested.tower")
+
+# --json documents of commands on the bundled towers, timing_ms left out.
+# They cover reduce, telescope, param-telescope, sigma-check, depth-reduce,
+# well-generate and verify, with level-2 and level-3 denominators shifted
+# both ways and one --seed-reps run; every value in them is canonical, so
+# any change to these strings is a change of behaviour.
+GOLDENS = json.loads((ROOT / "tests" / "data" / "cli_goldens.json").read_text())
 
 
 def shifted_pair(k):
@@ -86,3 +95,23 @@ def test_bench_reports_summable_rows(capsys):
     assert doc["command"] == "bench"
     assert [(row["degree"], row["trials"], row["all_summable"])
             for row in doc["bench"]] == [(3, 1, True)]
+
+
+@pytest.mark.parametrize("golden", GOLDENS,
+                         ids=[f"{i}-{g['argv'][0]}" for i, g in enumerate(GOLDENS)])
+def test_json_documents_match_the_goldens(capsys, monkeypatch, golden):
+    # tower paths are relative to the repository root and echoed back
+    monkeypatch.chdir(ROOT)
+    code, doc = run_json(capsys, golden["argv"])
+    doc.pop("timing_ms", None)
+    assert code == golden["code"]
+    assert doc == golden["doc"]
+
+
+def test_se_window_below_one_is_a_typed_document(capsys):
+    code, doc = run_json(capsys, ["reduce", "--tower", NESTED,
+                                  "--expr", "1/(t1+1/(x+1)) - 1/t1",
+                                  "--se-window", "0"])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidTowerError"
+    assert "se_window" in doc["error"]["message"]

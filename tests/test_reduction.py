@@ -205,11 +205,16 @@ def test_sigma_pair_exactness():
         assert_sigma_pair(N_TOWER, f, g, r)
 
 
-@pytest.mark.parametrize("k", [6, 10])
+@pytest.mark.parametrize("k", [6, 10, -6])
 def test_sigma_pair_of_shifted_reciprocal(k):
     # sigma^k(1/t1) - 1/t1 = delta(sum_{j<k} sigma^j(1/t1)); reducing it
-    # takes depth-2 gcds of degree about k in t1 over Q(x)
-    shift = " + ".join(f"1/(x+{j})" for j in range(1, k + 1))
+    # takes depth-2 gcds of degree about |k| in t1 over Q(x). With k < 0,
+    # sigma^k(t1) = t1 - 1/x - 1/(x-1) - ... - 1/(x+k+1), and t1 stays
+    # the representative, so the chain runs with a negative shift
+    if k > 0:
+        shift = " + ".join(f"1/(x+{j})" for j in range(1, k + 1))
+    else:
+        shift = " + ".join(f"-1/(x-{j})" for j in range(-k))
     f = parse(H_TOWER, f"1/(t1 + {shift}) - 1/t1")
     g, r = complete_reduction(ReductionContext(H_TOWER), f)
     assert _is_zero(r)

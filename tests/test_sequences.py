@@ -108,14 +108,17 @@ def test_trivial_pair_always_verifies():
     assert rep.skipped == 1 and rep.checked == 4
 
 
-def test_shift_agrees_with_index_translation():
+@pytest.mark.parametrize("k", [-3, -2, -1, 1, 2, 6])
+def test_shift_agrees_with_index_translation(k):
+    # evaluation at an index never applies sigma, so this checks sigma^k
+    # at levels 1 to 3 against an independent oracle
     assign = SequenceAssignment(N_TOWER)
-    f = parse(N_TOWER, "t1/x + t2")
-    fs = N_TOWER.sigma(f)
-    a = dict(eval_sequence(N_TOWER, fs, assign, 1, 12))
-    b = dict(eval_sequence(N_TOWER, f, assign, 1, 13))
-    for k in range(1, 13):
-        assert a[k] == b[k + 1]
+    f = parse(N_TOWER, "t1/x + t2 + x*t1*t2^2 + 1/(t2 + t1^2 + 1)")
+    fs = N_TOWER.sigma(f, k)
+    a = dict(eval_sequence(N_TOWER, fs, assign, 4, 12))
+    b = dict(eval_sequence(N_TOWER, f, assign, 4 + k, 12 + k))
+    for n in range(4, 13):
+        assert a[n] == b[n + k]
 
 
 def test_nested_sum_identities():

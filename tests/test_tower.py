@@ -99,6 +99,13 @@ def test_sigma_on_generators():
     assert shifted == t1 + H_TOWER.lift_to_top(parse(H_TOWER, "1/(x+1)"))
 
 
+def test_sigma_with_a_constant_increment_is_one_substitution():
+    # sigma^k(x) = x + k*1 in closed form; k single steps would not finish
+    x = Q_TOWER.var("x")
+    assert Q_TOWER.sigma(x, 10 ** 6) == x + 10 ** 6
+    assert Q_TOWER.sigma(x * x, -10 ** 6) == (x - 10 ** 6) ** 2
+
+
 def test_sigma_inverse_roundtrip():
     rng = random.Random(201)
     for _ in range(40):
