@@ -60,8 +60,6 @@ def _build_parser():
 
     def common(p, exprs="one"):
         p.add_argument("--tower", help="tower description file")
-        p.add_argument("--se-window", type=int, default=None,
-                       help="shift-equivalence scan window for levels >= 2")
         p.add_argument("--seed-reps", action="append", default=[],
                        metavar="NAME:EXPR",
                        help="seed a shift-class representative (repeatable)")
@@ -148,13 +146,13 @@ def _load_tower(args, default_text=None):
         tower = parse_tower_text(default_text)
     else:
         raise ParseError("--tower FILE is required")
-    if args.seed_reps or args.se_window is not None:
-        tower = _with_options(tower, args.seed_reps, args.se_window)
+    if args.seed_reps:
+        tower = _with_seeds(tower, args.seed_reps)
     return tower
 
 
-def _with_options(tower, pairs, se_window):
-    """Rebuild the tower with extra seed representatives and another window."""
+def _with_seeds(tower, pairs):
+    """Rebuild the tower with extra seed representatives."""
     extra = {}
     for item in pairs:
         name, sep, expr = item.partition(":")
@@ -170,9 +168,7 @@ def _with_options(tower, pairs, se_window):
     if extra:
         raise ParseError(f"--seed-reps names unknown generators: "
                          f"{sorted(extra)}")
-    if se_window is None:
-        se_window = tower.se_window
-    return TowerSpec(tuple(gens), params=tower.params, se_window=se_window)
+    return TowerSpec(tuple(gens), params=tower.params)
 
 
 def _seed_at(tower, name, expr):

@@ -7,9 +7,9 @@ test and the equality test for indefinite nested sums both ride on this.
 
 A ReductionContext carries the mutable session state: the representative
 sets that pin shift classes, the per-level reduction pairs and echelon
-bases, and memo tables. Results are deterministic for a fixed tower, seed
-list and shift window; reusing one context across calls keeps earlier
-choices (and therefore earlier answers) stable.
+bases, and memo tables. Results are deterministic for a fixed tower and
+seed list; reusing one context across calls keeps earlier choices (and
+therefore earlier answers) stable.
 
 The split into a polynomial part and a proper part is preserved by the
 shift, so the two reduce independently:
@@ -85,8 +85,7 @@ class ReductionContext:
         for irr, mult in self.factor(den, depth):
             placed = False
             for rep in reps:
-                k = shift_equivalence(self.tower, rep, irr, depth,
-                                      self.tower.se_window)
+                k = shift_equivalence(self, rep, irr, depth)
                 if k is not None:
                     out.append((rep, k, mult))
                     placed = True

@@ -12,10 +12,18 @@ are independent indeterminates (each level is transcendental over the field
 below), so by Gauss's lemma the integer factors of positive degree in t are
 exactly the irreducibles over the field below, whatever their degree.
 
-At level 1 the shift increment is constant, so the shift exponent between
-two equivalent polynomials is solved exactly from the subleading
-coefficient and then verified. At higher levels candidates are searched in
-a bounded window.
+The shift exponent between two of them is found exactly, by one path at
+every level (Karr 1981, JACM 28). Let p, q be monic of degree d in t with
+sigma(t) = t + a. If sigma^k(p) = q, comparing subleading coefficients
+gives c = (q_{d-1} - p_{d-1})/d = S_k + sigma^k(b) - b, with b = p_{d-1}/d
+and S_k the sum of sigma^j(a) over 0 <= j < k. The bracket is a
+difference, and each sigma^j(a) has the remainder v of a, so the remainder
+of c one level down is k*v. Since v != 0 for a valid level, one complete
+reduction yields the only candidate k, which one sigma^k then confirms or
+rejects. At level 1 the remainder is the identity and v = a, so this is
+the closed form k = c/a. Every class decision is thereby certified: an
+irreducible becomes a new representative only when no shift relates it
+to an existing one.
 """
 
 from __future__ import annotations
@@ -26,36 +34,26 @@ from sympy.polys.factortools import dmp_factor_list
 from .algebra import _monic_from_zz, _zz_poly, lower, poly_sort_key, vdepth
 
 
-def shift_equivalence(tower, p, q, depth, window):
-    """The integer k with sigma^k(p) == q, or None. p, q monic, equal degree."""
+def shift_equivalence(ctx, p, q, depth):
+    """The integer k with sigma^k(p) == q, or None. p, q monic irreducible."""
+    from .reduction import complete_reduction
+
     if p == q:
         return 0
     d = p.degree()
     if d != q.degree() or d < 1:
         return None
-    if depth - tower.nparams == 1:
-        # sigma^k adds k*a to the variable; compare subleading coefficients:
-        # sigma^k(p) has p_{d-1} + d*k*a there
-        a = tower.gens[0].delta
-        diff = q.coeff(d - 1, depth - 1) - p.coeff(d - 1, depth - 1)
-        k_val = diff / (a * d)
-        k_fr = lower(k_val, 0)
-        if k_fr is None or k_fr.denominator != 1:
-            return None
-        k = int(k_fr)
-        if k != 0 and tower.sigma_poly(p, depth, k) == q:
-            return k
+    below = depth - 1
+    c = (q.coeff(d - 1, below) - p.coeff(d - 1, below)) / d
+    _g, rc = complete_reduction(ctx, c, below)
+    level = depth - ctx.tower.nparams
+    _g, v = ctx.first_pair(level)
+    ctx.second_pair(level)  # InvalidTowerError when v == 0
+    k = lower(rc / v, 0)
+    if k is None or k.denominator != 1 or k == 0:
         return None
-    fwd = p
-    bwd = p
-    for k in range(1, window + 1):
-        fwd = tower.sigma_poly(fwd, depth, 1)
-        if fwd == q:
-            return k
-        bwd = tower.sigma_poly(bwd, depth, -1)
-        if bwd == q:
-            return -k
-    return None
+    k = int(k)
+    return k if ctx.tower.sigma_poly(p, depth, k) == q else None
 
 
 def factor_monic(p):

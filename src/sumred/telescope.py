@@ -74,7 +74,7 @@ def sigma_check(ctx, a, level=None):
     if level is None:
         level = tower.nlevels
     if not 0 <= level <= tower.nlevels:
-        raise ValueError(f"no tower level {level}")
+        raise InvalidTowerError(f"no tower level {level}")
     depth = tower.nparams + level
     a = lower(a, depth)
     if a is None:
@@ -222,7 +222,7 @@ def _levels_used(tower, v):
 def _spec_with(src, fixed, carried):
     gens = tuple(Generator(name, delta, seed_reps=carried.get(lv, ()))
                  for lv, (name, delta) in enumerate(fixed, start=1))
-    return TowerSpec(gens, params=src.params, se_window=src.se_window)
+    return TowerSpec(gens, params=src.params)
 
 
 def _fresh_name(base, used):

@@ -58,11 +58,8 @@ class Generator:
 class TowerSpec:
     """Immutable description of a tower plus the shift automorphism."""
 
-    def __init__(self, gens, params=(), se_window=20):
+    def __init__(self, gens, params=()):
         self.params = tuple(params)
-        self.se_window = int(se_window)
-        if self.se_window < 1:
-            raise InvalidTowerError("se_window must be at least 1")
 
         seen = set()
         for name in self.params:

@@ -2,34 +2,36 @@
 
 Grammar, one directive per line, '#' starts a comment:
 
-    params n m            parameter names for the constant field
-    option se_window 30   the only option: shift-equivalence scan window
-    gen x : 1             generator with its increment expression
-    seed x : x            representative seed for that generator's level
+    params n m        parameter names for the constant field
+    gen x : 1         generator with its increment expression
+    seed x : x        representative seed for that generator's level
 
 Generator lines are read top to bottom; each increment expression may
 use the parameters and the generators declared above it.  Seed lines
 must name an already declared generator and parse to a monic irreducible
-polynomial in that generator.
+polynomial in that generator.  Any other first word, such as the
+'option' lines of older files, is an unknown directive and a ParseError.
 """
 
 from .errors import ParseError
 from .exprio import parse_expression
 from .tower import Generator, TowerSpec
 
-_OPTIONS = ("se_window",)
-
 
 def load_tower_file(path):
     """TowerSpec from a tower description file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tower_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ParseError(f"cannot read tower file {str(path)!r}: "
+                         f"{e.strerror or e}") from None
+    return parse_tower_text(text)
 
 
 def parse_tower_text(text):
     """TowerSpec from the contents of a tower description file."""
     params = None
-    options = {}
     records = []
     seeds = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,12 +47,6 @@ def parse_tower_text(text):
                 raise ParseError("params must come before generators",
                                  line=lineno)
             params = rest.split()
-        elif word == "option":
-            key, _, val = rest.partition(" ")
-            val = val.strip()
-            if key not in _OPTIONS or not val:
-                raise ParseError(f"unknown option line {line!r}", line=lineno)
-            options[key] = val
         elif word == "gen":
             name, expr = _split_decl(rest, lineno)
             records.append((name, expr, lineno))
@@ -65,11 +61,6 @@ def parse_tower_text(text):
             raise ParseError(f"unknown directive {word!r}", line=lineno)
     if not records:
         raise ParseError("no generators declared", line=None)
-    if "se_window" in options:
-        try:
-            options["se_window"] = int(options["se_window"])
-        except ValueError:
-            raise ParseError("se_window must be an integer", line=None)
 
     params = tuple(params or ())
     # lines are parsed in towers without seeds, so each seed is checked once,
@@ -83,7 +74,7 @@ def parse_tower_text(text):
         reps = [_seed_poly(probe, sexpr, name, sline)
                 for sexpr, sline in seeds[name]]
         gens.append(Generator(name, delta, seed_reps=reps))
-    return TowerSpec(tuple(gens), params=params, **options)
+    return TowerSpec(tuple(gens), params=params)
 
 
 def _split_decl(rest, lineno):

@@ -10,7 +10,6 @@ from sumred import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 HARMONIC = str(ROOT / "towers" / "harmonic.tower")
-NESTED = str(ROOT / "towers" / "nested.tower")
 
 # --json documents of commands on the bundled towers, timing_ms left out.
 # They cover reduce, telescope, param-telescope, sigma-check, depth-reduce,
@@ -108,10 +107,20 @@ def test_json_documents_match_the_goldens(capsys, monkeypatch, golden):
     assert doc == golden["doc"]
 
 
-def test_se_window_below_one_is_a_typed_document(capsys):
-    code, doc = run_json(capsys, ["reduce", "--tower", NESTED,
-                                  "--expr", "1/(t1+1/(x+1)) - 1/t1",
-                                  "--se-window", "0"])
+def test_sigma_check_above_the_top_level_is_a_typed_document(capsys):
+    code, doc = run_json(capsys, ["sigma-check", "--tower", HARMONIC,
+                                  "--expr", "1/(x+1)", "--level", "5"])
     assert code == 2
+    assert doc["command"] == "sigma-check"
     assert doc["error"]["type"] == "InvalidTowerError"
-    assert "se_window" in doc["error"]["message"]
+    assert "level 5" in doc["error"]["message"]
+
+
+def test_missing_tower_file_is_a_typed_document(capsys, tmp_path):
+    missing = str(tmp_path / "nope.tower")
+    code, doc = run_json(capsys, ["reduce", "--tower", missing,
+                                  "--expr", "x"])
+    assert code == 2
+    assert doc["command"] == "reduce"
+    assert doc["error"]["type"] == "ParseError"
+    assert missing in doc["error"]["message"]

@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
-from sumred.algebra import Poly, one_at, poly_sort_key, zero_at
+from sumred.algebra import Poly, lower, one_at, poly_sort_key, zero_at
 from sumred.reduction import ReductionContext
 from sumred.sigmafactor import factor_monic, shift_equivalence
-from sumred.towerfile import parse_tower_text
+from sumred.towerfile import load_tower_file, parse_tower_text
 
 from conftest import H_TOWER, Q_TOWER, parse
 from test_algebra import _GCD_FIELDS, _poly_to_sympy
@@ -20,6 +21,7 @@ def _q(*coeffs):
 
 
 T1 = Poly((zero_at(1), one_at(1)))
+TOWERS = Path(__file__).resolve().parent.parent / "towers"
 
 
 def _by_rep(pairs):
@@ -31,25 +33,62 @@ def _lin2(const_text):
 
 
 def test_shift_equivalence_is_exact_at_the_bottom_level():
+    ctx = ReductionContext(Q_TOWER)
     p = _q(1, 1, 1)
     for k in (-25, -3, 1, 7, 40):
         q = Q_TOWER.sigma_poly(p, 1, k)
-        # the exponent is solved from coefficients, not scanned: a tiny
-        # window still finds shifts far outside it
-        assert shift_equivalence(Q_TOWER, p, q, 1, 2) == k
-    assert shift_equivalence(Q_TOWER, p, p, 1, 20) == 0
-    assert shift_equivalence(Q_TOWER, p, _q(1, 0, 1), 1, 20) is None
-    assert shift_equivalence(Q_TOWER, p, _q(1, 1), 1, 20) is None
+        assert shift_equivalence(ctx, p, q, 1) == k
+    assert shift_equivalence(ctx, p, p, 1) == 0
+    # the candidate -1/2 is no integer
+    assert shift_equivalence(ctx, p, _q(1, 0, 1), 1) is None
+    assert shift_equivalence(ctx, p, _q(1, 1), 1) is None
 
 
-def test_shift_equivalence_scans_a_window_above_the_bottom():
-    q = H_TOWER.sigma_poly(T1, 2, 2)
-    assert shift_equivalence(H_TOWER, T1, q, 2, 20) == 2
-    assert shift_equivalence(H_TOWER, T1, q, 2, 1) is None
-    back = H_TOWER.sigma_poly(T1, 2, -3)
-    assert shift_equivalence(H_TOWER, T1, back, 2, 5) == -3
-    shifted_by_x = _lin2("x")
-    assert shift_equivalence(H_TOWER, T1, shifted_by_x, 2, 20) is None
+def test_shift_equivalence_is_exact_above_the_bottom():
+    ctx = ReductionContext(H_TOWER)
+    for k in (2, -3):
+        q = H_TOWER.sigma_poly(T1, 2, k)
+        assert shift_equivalence(ctx, T1, q, 2) == k
+    quad = Poly((parse(Q_TOWER, "-x"), zero_at(1), one_at(1)))
+    assert shift_equivalence(ctx, quad, H_TOWER.sigma_poly(quad, 2, -4),
+                             2) == -4
+    # c = x is a difference in Q(x), so the only candidate is k = 0
+    assert shift_equivalence(ctx, T1, _lin2("x"), 2) is None
+    # c = 2/(x+1) has the remainder 2*v, but sigma^2(t1) is
+    # t1 + 1/(x+1) + 1/(x+2): the candidate is rejected
+    assert shift_equivalence(ctx, T1, _lin2("2/(x+1)"), 2) is None
+
+
+@pytest.mark.parametrize("tower_file,expr,depth,ks", [
+    ("harmonic.tower", "t1", 2, (25, -25, 40, -40)),
+    ("nested.tower", "t2 + t1", 3, (21, -21)),
+    ("creative.tower", "t1 + n", 3, (21, -5)),
+    ("creative.tower", "x + n", 2, (7,)),
+], ids=["harmonic", "nested-level-3", "creative-t1", "creative-x"])
+def test_classify_places_far_shifts_in_the_class(tower_file, expr, depth, ks):
+    # each shift, however far, lands in the class of p
+    tower = load_tower_file(TOWERS / tower_file)
+    p = lower(parse(tower, expr), depth).num
+    ctx = ReductionContext(tower)
+    ctx.classify_den(p, depth)
+    assert ctx.reps[depth - tower.nparams][-1] == p
+    for k in ks:
+        q = tower.sigma_poly(p, depth, k)
+        assert ctx.classify_den(q, depth) == ((p, k, 1),)
+
+
+@pytest.mark.parametrize("tower_file,other", [
+    ("harmonic.tower", "t1 + x"),
+    ("creative.tower", "t1 + n"),
+])
+def test_classify_keeps_unrelated_linear_factors_apart(tower_file, other):
+    tower = load_tower_file(TOWERS / tower_file)
+    t1 = parse(tower, "t1").num
+    q = parse(tower, other).num
+    ctx = ReductionContext(tower)
+    assert ctx.classify_den(t1, tower.full_depth) == ((t1, 0, 1),)
+    assert ctx.classify_den(q, tower.full_depth) == ((q, 0, 1),)
+    assert ctx.reps[2] == [t1, q]
 
 
 def _product(facs, one):

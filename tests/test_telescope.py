@@ -136,7 +136,7 @@ def test_increment_certification():
 
     with pytest.raises(InvalidTowerError):
         sigma_check(ReductionContext(H_TOWER), parse(H_TOWER, "t1^2"), level=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTowerError, match="no tower level 7"):
         sigma_check(ReductionContext(Q_TOWER), parse(Q_TOWER, "x"), level=7)
 
 

@@ -47,8 +47,6 @@ def test_constructor_rejections():
         TowerSpec((Generator("x", Fraction(0)),))
     with pytest.raises(InvalidTowerError):
         TowerSpec((Generator("x", Fraction(1)),), params=("x",))
-    with pytest.raises(InvalidTowerError):
-        TowerSpec((Generator("x", Fraction(1)),), se_window=0)
 
 
 def test_increment_must_live_below_its_level():

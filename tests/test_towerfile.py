@@ -1,4 +1,4 @@
-"""Tower description files: grammar, options, seeds, error reporting."""
+"""Tower description files: grammar, seeds, error reporting."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -40,14 +40,6 @@ def test_comments_and_blank_lines():
     assert spec.gens[0].delta == Fraction(1)
 
 
-def test_options_are_applied():
-    spec = parse_tower_text(
-        "option se_window 33\n"
-        "gen x : 1\n"
-        "seed x : x\n")
-    assert spec.se_window == 33
-
-
 def test_seeds_reach_the_reduction_context():
     from sumred.reduction import ReductionContext
     spec = parse_tower_text(
@@ -85,10 +77,9 @@ def test_error_lines_and_positions():
     assert err.value.line == 2
     with pytest.raises(ParseError, match="no generators"):
         parse_tower_text("# nothing here\n")
-    with pytest.raises(ParseError, match="integer"):
-        parse_tower_text("option se_window lots\ngen x : 1\n")
-    with pytest.raises(ParseError, match="unknown option"):
-        parse_tower_text("option speed 9\ngen x : 1\n")
+    with pytest.raises(ParseError, match="unknown directive") as err:
+        parse_tower_text("option se_window 30\ngen x : 1\n")
+    assert err.value.line == 1
     with pytest.raises(ParseError, match="not a polynomial"):
         parse_tower_text("gen x : 1\nseed x : 1/x\n")
 
