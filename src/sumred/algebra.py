@@ -201,13 +201,6 @@ class Poly:
             return self
         return Poly(tuple(x * c for x in self.coeffs))
 
-    def shift_up(self, k):
-        """Multiply by the variable to the k-th power."""
-        if not self.coeffs or k == 0:
-            return self
-        zero = _zero_like(self.coeffs[0])
-        return Poly((zero,) * k + self.coeffs)
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Poly")
@@ -257,12 +250,6 @@ class Poly:
         if _is_one_val(c):
             return c, self
         return c, self.scale(_inv_val(c))
-
-    def deriv(self):
-        cs = self.coeffs
-        if len(cs) <= 1:
-            return _P_ZERO
-        return Poly(tuple(cs[i] * _int_like(i, cs[0]) for i in range(1, len(cs))))
 
     def eval(self, point):
         """Horner evaluation at a value of the coefficient depth."""
@@ -448,12 +435,6 @@ def _one_like(v):
     if isinstance(v, Fraction):
         return F1
     return one_at(v.depth)
-
-
-def _int_like(n, v):
-    if isinstance(v, Fraction):
-        return Fraction(n)
-    return frac_at(Fraction(n), v.depth)
 
 
 def _inv_val(v):

@@ -1,19 +1,22 @@
-"""Structured basis of the non-summable remainder space.
+"""Structured basis of the remainder space.
 
-A remainder produced by the complete reduction is a unique combination of
-basis elements of the form
+Every value of the tower is a unique combination of basis elements of the
+form
 
     prod over levels of   t^k          (polynomial direction, k >= 1)
-                       or t^k / q^m    (proper direction, q a class
-                                        representative, 0 <= k < deg q)
+                       or t^k / q^m    (proper direction, q a monic
+                                        irreducible factor, 0 <= k < deg q)
 
-with constant coefficients. BasisElement records the per-level factors;
-expand_remainder computes all coordinates of a remainder, and
-leading_coordinate picks the single coordinate the polynomial reduction
-eliminates against, together with its constant.
+with constant coefficients. BasisElement records the per-level factors.
+expand_remainder is the one walker: it computes all coordinates of a
+value, and leading_coordinate and coordinate_of read theirs off it.
 
-Coordinate extraction never factors anything: the proper digits come from
-modular inverses against the given representative.
+The basis runs over the actual irreducible factors of the denominators,
+not over their shift-class representatives, so every value has
+coordinates, canonical remainders included (their lower-level content is
+not itself a remainder). Reading coordinates factors denominators through
+the context's cache but never classifies them: the representative sets
+and notes change only through reduction.
 """
 
 from __future__ import annotations
@@ -21,8 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
+    Poly,
+    RatFunc,
     _is_zero_val,
-    modular_residue,
+    coprime_split,
+    lift,
+    one_at,
     padic_expand,
     poly_sort_key,
     zero_at,
@@ -51,17 +58,11 @@ class BasisElement:
                 return f[1], f[2], f[3]
         return None
 
-    def top_depth(self):
-        return self.factors[-1][0] if self.factors else 0
-
     def is_one(self):
         return not self.factors
 
     def as_value(self, tower):
         """The basis element as a value at the tower's full depth."""
-        from .algebra import RatFunc, lift, one_at
-        from .algebra import Poly
-
         out = lift(Fraction(1), tower.full_depth)
         for depth, k, q, m in self.factors:
             name = ([None] + list(tower.params)
@@ -95,92 +96,66 @@ BASIS_ONE = BasisElement(())
 
 
 def expand_remainder(ctx, v, depth):
-    """All coordinates of a remainder: BasisElement -> constant (nonzero)."""
+    """All coordinates of v: BasisElement -> nonzero constant.
+
+    The polynomial part contributes t^k times the expansion of its k-th
+    coefficient. The proper part is split over the prime powers q^m of its
+    denominator, each piece is expanded q-adically, and the digit d_j
+    contributes t^k / q^(m - j) times the expansion of its k-th coefficient.
+    """
     npar = ctx.tower.nparams
     if isinstance(v, Fraction) or depth <= npar:
-        if _is_zero_val(v):
-            return {}
-        return {BASIS_ONE: v}
+        return {} if _is_zero_val(v) else {BASIS_ONE: v}
     out = {}
     poly, proper = ctx.tower.split_poly_proper(v)
-    for j in range(poly.degree() + 1):
-        c = poly.coeffs[j]
+    _expand_digit(ctx, out, poly, depth)
+    if not proper.num.is_zero():
+        factors = ctx.factor(proper.den, depth)
+        pieces = coprime_split(proper.num, [q ** m for q, m in factors])
+        for (q, m), piece in zip(factors, pieces):
+            for j, digit in enumerate(padic_expand(piece, q)):
+                _expand_digit(ctx, out, digit, depth, q, m - j)
+    return out
+
+
+def _expand_digit(ctx, out, p, depth, q=None, m=0):
+    """Add the coordinates of p(t) / q^m (just p(t) for q None) to out."""
+    for k, c in enumerate(p.coeffs):
         if _is_zero_val(c):
             continue
         for th, cv in expand_remainder(ctx, c, depth - 1).items():
-            out[th.extended(depth, j)] = cv
-    if not proper.num.is_zero():
-        den = proper.den
-        comps = ctx.classify_den(den, depth)
-        for q, shift, m in comps:
-            if shift != 0:
-                raise ValueError(
-                    "remainder denominator contains a shifted representative")
-        for q, _shift, m in comps:
-            qm = q ** m
-            cof = den.exact_div(qm)
-            digits = padic_expand(modular_residue(proper.num, cof, qm), q)
-            for jdig, dig in enumerate(digits):
-                mm = m - jdig
-                for k in range(dig.degree() + 1):
-                    c = dig.coeffs[k]
-                    if _is_zero_val(c):
-                        continue
-                    for th, cv in expand_remainder(ctx, c, depth - 1).items():
-                        out[th.extended(depth, k, q, mm)] = cv
-    return out
+            out[th.extended(depth, k, q, m)] = cv
 
 
 def leading_coordinate(ctx, v, depth):
     """The coordinate the elimination pivots on: (BasisElement, constant).
 
-    Polynomial content of positive degree wins, then the deepest pole of the
-    smallest denominator representative, then the recursion drops a level.
+    The pivot is the first element of v's expansion, comparing the factors
+    from the top depth down: t^k with k >= 1 first (larger k first), then
+    t^k / q^m (by poly_sort_key(q), then larger m, then larger k), and no
+    factor at that depth last.
     """
+    coords = expand_remainder(ctx, v, depth)
+    if not coords:
+        raise ValueError("zero has no leading coordinate")
     npar = ctx.tower.nparams
-    if isinstance(v, Fraction) or depth <= npar:
-        return BASIS_ONE, v
-    poly, proper = ctx.tower.split_poly_proper(v)
-    if poly.degree() > 0:
-        th, c = leading_coordinate(ctx, poly.lc(), depth - 1)
-        return th.extended(depth, poly.degree()), c
-    if not proper.num.is_zero():
-        comps = ctx.classify_den(proper.den, depth)
-        q, _shift, m = min(comps, key=lambda c: poly_sort_key(c[0]))
-        cof = proper.den.exact_div(q ** m)
-        h = modular_residue(proper.num, cof, q)
-        th, c = leading_coordinate(ctx, h.lc(), depth - 1)
-        return th.extended(depth, h.degree(), q, m), c
-    below = poly.coeff(0, depth - 1)
-    return leading_coordinate(ctx, below, depth - 1)
+    th = min(coords, key=lambda e: _pivot_key(e, depth, npar))
+    return th, coords[th]
+
+
+def _pivot_key(element, depth, npar):
+    key = []
+    for d in range(depth, npar, -1):
+        f = element.factor_at(d)
+        if f is None:
+            key.append((2,))
+        else:
+            k, q, m = f
+            key.append((0, -k) if q is None else (1, poly_sort_key(q), -m, -k))
+    return key
 
 
 def coordinate_of(ctx, element, v, depth):
-    """The coefficient of one basis element in v's remainder expansion."""
-    npar = ctx.tower.nparams
-    if isinstance(v, Fraction) or depth <= npar:
-        return v
-    factor = element.factor_at(depth)
-    poly, proper = ctx.tower.split_poly_proper(v)
-    if factor is None:
-        return coordinate_of(ctx, element, poly.coeff(0, depth - 1), depth - 1)
-    k, q, m = factor
-    if q is None:
-        return coordinate_of(ctx, element, poly.coeff(k, depth - 1), depth - 1)
-    if proper.num.is_zero():
-        return zero_at(npar)
-    a = 0
-    rest = proper.den
-    while True:
-        quo, rem = rest.divmod(q)
-        if not rem.is_zero():
-            break
-        a += 1
-        rest = quo
-    if a < m:
-        return zero_at(npar)
-    digits = padic_expand(modular_residue(proper.num, rest, q ** a), q)
-    j = a - m
-    if j >= len(digits):
-        return zero_at(npar)
-    return coordinate_of(ctx, element, digits[j].coeff(k, depth - 1), depth - 1)
+    """The coefficient of one basis element in v's expansion."""
+    return expand_remainder(ctx, v, depth).get(element,
+                                                zero_at(ctx.tower.nparams))

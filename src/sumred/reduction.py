@@ -35,6 +35,7 @@ from .algebra import (
     frac_at,
     lift,
     one_at,
+    poly_sort_key,
     vdepth,
     zero_at,
 )
@@ -162,8 +163,6 @@ class ReductionContext:
 
 
 def _component_key(comp):
-    from .algebra import poly_sort_key
-
     rep, shift, _mult = comp
     return (rep.degree(), poly_sort_key(rep), shift)
 
@@ -272,7 +271,7 @@ def complete_reduction(ctx, f, depth=None):
         depth = vdepth(f)
     npar = ctx.tower.nparams
     if isinstance(f, Fraction) or depth <= npar:
-        return (_zero_like_value(f, depth), f)
+        return (zero_at(vdepth(f)), f)
     table = ctx.memo(depth)
     hit = table.get(f)
     if hit is not None:
@@ -289,10 +288,3 @@ def complete_reduction(ctx, f, depth=None):
     result = (g, r)
     table[f] = result
     return result
-
-
-def _zero_like_value(f, depth):
-    if isinstance(f, Fraction):
-        return Fraction(0)
-    return zero_at(depth)
-

@@ -142,10 +142,6 @@ class TowerSpec:
     def gen_var(self, level):
         return self.var(self.gens[level - 1].name)
 
-    def delta_of_level(self, level):
-        """Shift increment of generator `level`, at depth one below it."""
-        return self.gens[level - 1].delta
-
     # -- automorphism --------------------------------------------------------
 
     def sigma(self, v, k=1):

@@ -197,23 +197,6 @@ def test_poly_eval_is_a_homomorphism():
         assert (a + b).eval(pt) == a.eval(pt) + b.eval(pt)
 
 
-def test_poly_shift_up_is_monomial_multiplication():
-    rng = random.Random(106)
-    for _ in range(40):
-        p = rand_poly(rng, 5)
-        k = rng.randint(0, 4)
-        pt = Fraction(rng.randint(-5, 5))
-        assert p.shift_up(k).eval(pt) == p.eval(pt) * pt ** k
-
-
-def test_poly_deriv_product_rule():
-    rng = random.Random(108)
-    for _ in range(40):
-        a = rand_poly(rng, 4)
-        b = rand_poly(rng, 4)
-        assert (a * b).deriv() == a.deriv() * b + a * b.deriv()
-
-
 def test_poly_pow_and_monic():
     rng = random.Random(109)
     for _ in range(30):

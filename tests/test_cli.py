@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from sumred import cli
+from sumred.exprio import parse_expression
+from sumred.towerfile import load_tower_file
 
 ROOT = Path(__file__).resolve().parent.parent
 HARMONIC = str(ROOT / "towers" / "harmonic.tower")
@@ -61,6 +63,37 @@ def test_reduce_irreducible_cubic_above_the_bottom(capsys):
     assert code == 0
     assert doc["summable"] is True
     assert doc["r"] == "0"
+
+
+# the level-2 increment has lower-level content 1/(x+1), a shift of the
+# representative x, so the pivot coordinate is read outside the classes
+LOWER_SHIFT_TOWER = ("gen x : 1\n"
+                     "seed x : x\n"
+                     "gen t1 : 1/(x+1)\n"
+                     "gen t2 : 1/((x+1)*t1)\n")
+
+
+def test_reduce_pivots_on_lower_content_outside_the_classes(capsys, tmp_path):
+    path = tmp_path / "lower.tower"
+    path.write_text(LOWER_SHIFT_TOWER)
+    code, doc = run_json(capsys, ["reduce", "--tower", str(path),
+                                  "--expr", "t2^2 - t2"])
+    assert code == 0
+    tower = load_tower_file(path)
+    f, g, r = (parse_expression(tower, s)
+               for s in (doc["inputs"][0], doc["g"], doc["r"]))
+    assert tower.delta(g) + r == f
+
+
+def test_param_telescope_reads_coordinates_outside_the_classes(capsys):
+    code, doc = run_json(capsys, ["param-telescope", "--tower", HARMONIC,
+                                  "--expr", "1/(x*t1)",
+                                  "--expr", "1/((x+1)*t1)",
+                                  "--expr", "1/((x+1)*t1) - 1/(x*t1-1)"])
+    assert code == 0
+    rows = [row for row in doc["basis"]
+            if any(c != "0" for c in row["coeffs"])]
+    assert rows == [{"coeffs": ["0", "0", "1"], "g": "1/(x*t1 - 1)"}]
 
 
 # 2^(4L) has about 1.2 L decimal digits, past Python's limit of L digits

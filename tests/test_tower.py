@@ -197,9 +197,3 @@ def test_lift_to_top():
     assert vdepth(top) == 2
     assert H_TOWER.lift_to_top(Fraction(3, 2)) == frac_at(Fraction(3, 2), 2)
     assert H_TOWER.lift_to_top(top) == top
-
-
-def test_delta_of_level():
-    assert N_TOWER.delta_of_level(1) == Fraction(1)
-    assert N_TOWER.delta_of_level(2) == parse(Q_TOWER, "1/(x+1)")
-    assert vdepth(N_TOWER.delta_of_level(3)) == 2
