@@ -27,6 +27,16 @@ RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) it forms
 n1 * (d2/g) + n2 * (d1/g) over d1 * (d2/g), and only gcd(num, g) can cancel,
 nothing at all when g = 1, so the full product d1 * d2 is never reduced.
 
+Products and inverses take no final gcd (Henrici; Knuth, TAOCP vol. 2
+section 4.5.1). A product cancels n1 against d2 and n2 against d1; each
+factor left is coprime to both denominators, since canonical inputs already
+have gcd(n1, d1) = gcd(n2, d2) = 1, so the product n1 * n2 / (d1 * d2) is
+coprime, and its denominator is a monic divided by monic gcds, hence monic.
+An inverse swaps a coprime pair and scales both sides by the inverse of the
+old numerator's leading coefficient. Division and powers go through these
+two. A gcd with a nonzero constant operand is the constant 1 and is
+returned without any work; most of those come from the cross-cancellation.
+
 poly_gcd picks its method by coefficient depth. Fraction coefficients take an
 integer primitive PRS (_qpoly_gcd). RatFunc coefficients of depth c >= 1 are
 cleared of denominators into ZZ[y_1..y_c, t] and take one gcd over ZZ
@@ -367,17 +377,20 @@ class RatFunc:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return zero_at(self.depth)
-        # cross-cancel first to keep intermediate products small
+        # cross-cancelled canonical factors give a canonical product (see the
+        # module docstring), so no final gcd
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
-        return RatFunc(n1 * n2, d1 * d2, self.depth)
+        return RatFunc(n1 * n2, d1 * d2, self.depth, _trusted=True)
 
     __rmul__ = __mul__
 
     def inv(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num, self.depth)
+        lc, den = self.num.monic()
+        return RatFunc(self.den.scale(_inv_val(lc)), den, self.depth,
+                       _trusted=True)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -575,7 +588,8 @@ def _cancel(num, den):
 def poly_gcd(a, b):
     """Monic gcd over the coefficient field.
 
-    Fraction coefficients take _qpoly_gcd; RatFunc coefficients of depth
+    A nonzero constant operand gives the constant 1 at once. Fraction
+    coefficients take _qpoly_gcd; RatFunc coefficients of depth
     c >= 1 take one gcd over ZZ[y_1..y_c, t], made monic over the field
     below (Gauss's lemma; see the module docstring).
     """
@@ -583,9 +597,11 @@ def poly_gcd(a, b):
         return b.monic()[1] if not b.is_zero() else b
     if b.is_zero():
         return a.monic()[1]
-    if isinstance(a.coeffs[0], Fraction):
+    c = vdepth(a.coeffs[0])
+    if a.degree() == 0 or b.degree() == 0:
+        return _one_poly(c)
+    if c == 0:
         return _qpoly_gcd(a, b)
-    c = a.coeffs[0].depth
     g = dmp_gcd(_zz_poly(a, c)[0], _zz_poly(b, c)[0], c, ZZ)
     if len(g) == 1:
         return _one_poly(c)

@@ -360,10 +360,16 @@ def _cmd_verify(args):
     ctx = ReductionContext(tower)
     f = parse_expression(tower, args.expr)
     k_from, k_to = _parse_range(args.verify_range)
-    assign = SequenceAssignment(
-        tower, start=args.start,
-        inits=dict(_parse_kv(args.init)),
-        params=dict(_parse_kv(args.param)))
+    if k_from < args.start:
+        raise ParseError(f"--verify-range starts at {k_from}, "
+                         f"before --start {args.start}")
+    try:
+        assign = SequenceAssignment(
+            tower, start=args.start,
+            inits=dict(_parse_kv(args.init)),
+            params=dict(_parse_kv(args.param)))
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     t0 = time.perf_counter()
     res = telescope(ctx, f)
     report = verify_sigma_pair(tower, f, res, assign, k_from, k_to)

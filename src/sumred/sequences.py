@@ -6,8 +6,16 @@ by t(k+1) = t(k) + a(k) where a is the increment evaluated at index k.
 Evaluation poles mark single points; a pole inside an increment poisons
 that generator from the next index on, since its later values are no
 longer defined.
+
+The pointwise check of a sigma-pair walks one orbit and reads f, g and r
+off it at each index, g once more at the index after the last. A value is
+evaluated on integer (numerator, denominator) pairs that are never reduced:
+each polynomial clears its coefficients' denominators with one lcm and runs
+a homogenised integer Horner, and one Fraction is built at the end, so no
+gcd is taken per step.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -102,15 +110,21 @@ class _Orbit:
             return POLE
 
 
-def eval_sequence(tower, f, assign, k_from, k_to):
-    """Exact values of f at k_from..k_to along the orbit, poles marked."""
+def _orbit_from(tower, assign, k_from, k_to):
+    """The orbit of assign advanced to k_from, for a range k_from..k_to."""
     if k_from > k_to:
         raise ValueError("empty evaluation range")
     if k_from < assign.start:
         raise ValueError("range starts before the assignment start index")
-    f = tower.lift_to_top(f)
     orbit = _Orbit(tower, assign)
     orbit.advance_to(k_from)
+    return orbit
+
+
+def eval_sequence(tower, f, assign, k_from, k_to):
+    """Exact values of f at k_from..k_to along the orbit, poles marked."""
+    orbit = _orbit_from(tower, assign, k_from, k_to)
+    f = tower.lift_to_top(f)
     out = []
     for k in range(k_from, k_to + 1):
         out.append((k, orbit.value(f)))
@@ -125,14 +139,16 @@ VerifyPairReport = namedtuple(
 
 def verify_sigma_pair(tower, f, pair, assign, k_from, k_to):
     """Check f(k) = g(k+1) - g(k) + r(k) at every non-pole index."""
-    g, r = pair[0], pair[1]
-    fv = dict(eval_sequence(tower, f, assign, k_from, k_to))
-    gv = dict(eval_sequence(tower, g, assign, k_from, k_to + 1))
-    rv = dict(eval_sequence(tower, r, assign, k_from, k_to))
+    orbit = _orbit_from(tower, assign, k_from, k_to)
+    f, g, r = (tower.lift_to_top(v) for v in (f, pair[0], pair[1]))
+    g_next = orbit.value(g)
     checked = skipped = 0
     failures = []
     for k in range(k_from, k_to + 1):
-        parts = (fv[k], gv[k + 1], gv[k], rv[k])
+        fk, g_k, rk = orbit.value(f), g_next, orbit.value(r)
+        orbit.step()
+        g_next = orbit.value(g)
+        parts = (fk, g_next, g_k, rk)
         if any(p is POLE for p in parts):
             skipped += 1
             continue
@@ -239,25 +255,42 @@ def _const_at(tower, c, pvals):
 
 
 def _eval_at(v, vals):
+    """The Fraction v takes at vals (depth -> Fraction, None once poisoned).
+
+    Raises _Pole when a denominator evaluates to 0, or when a polynomial of
+    positive degree (or the zero polynomial) meets a poisoned variable.
+    """
     def val(u, depth):
+        # (n, d) with u = n / d and d != 0, neither reduced nor signed
         if isinstance(u, Fraction):
-            return u
-        if isinstance(u, RatFunc):
-            den = pol(u.den, depth)
-            if den == 0:
-                raise _Pole
-            return pol(u.num, depth) / den
-        return pol(u, depth)
+            return u.numerator, u.denominator
+        n, d = pol(u.num, depth)
+        if u.den.degree() == 0:  # a canonical denominator: 1
+            return n, d
+        dn, dd = pol(u.den, depth)
+        if not dn:
+            raise _Pole
+        return n * dd, d * dn
 
     def pol(p, depth):
+        coeffs = p.coeffs
         point = vals.get(depth)
         if point is None:
-            if p.degree() == 0:
-                return val(p.coeffs[0], depth - 1)
+            if len(coeffs) == 1:
+                return val(coeffs[0], depth - 1)
             raise _Pole
-        acc = Fraction(0)
-        for c in reversed(p.coeffs):
-            acc = acc * point + val(c, depth - 1)
-        return acc
+        if not coeffs:
+            return 0, 1
+        pairs = [val(c, depth - 1) for c in coeffs]
+        den = math.lcm(*(d for _n, d in pairs))
+        x, y = point.numerator, point.denominator
+        # den * y^deg * p(x / y), Horner on homogenised integers
+        n, d = pairs[-1]
+        acc, w = n * (den // d), 1
+        for n, d in reversed(pairs[:-1]):
+            w *= y
+            acc = acc * x + n * (den // d) * w
+        return acc, den * w
 
-    return val(v, vdepth(v))
+    n, d = val(v, vdepth(v))
+    return Fraction(n, d)

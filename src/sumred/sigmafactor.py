@@ -63,8 +63,11 @@ def factor_monic(p):
     ZZ (sympy's dmp_factor_list, Wang's EEZ algorithm in several variables).
     Factors free of t are units of the field below and are dropped; each
     other factor is made monic over the field below. The list is sorted by
-    poly_sort_key, so equal inputs give equal lists.
+    poly_sort_key, so equal inputs give equal lists. A polynomial of degree
+    1 is irreducible over the field below and is only made monic.
     """
+    if p.degree() == 1:
+        return [(p.monic()[1], 1)]
     c = vdepth(p.lc())
     _content, factors = dmp_factor_list(_zz_poly(p, c)[0], c, ZZ)
     monic = ((_monic_from_zz(f, c), mult) for f, mult in factors)

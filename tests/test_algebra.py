@@ -7,8 +7,9 @@ import pytest
 import sympy
 
 from sumred.algebra import (Poly, RatFunc, coprime_split, drop, frac_at,
-                            lift, modular_residue, one_at, padic_expand,
-                            poly_gcd, poly_xgcd, set_int_cap, vdepth, zero_at)
+                            lift, lower, modular_residue, one_at,
+                            padic_expand, poly_gcd, poly_xgcd, set_int_cap,
+                            vdepth, zero_at)
 from sumred.errors import IntegerLimitError
 
 from conftest import H_TOWER, N_TOWER, P_TOWER, parse, rand_proper1
@@ -178,6 +179,23 @@ def test_poly_gcd_matches_sympy_above_the_bottom(tower, pool):
         assert sympy.cancel(_poly_to_sympy(g, depth, syms) - expect) == 0
 
 
+def test_poly_gcd_with_a_constant_operand_is_one():
+    cases = [
+        (Poly((Fraction(-3, 2),)), Poly((Fraction(1), Fraction(2), Fraction(1))),
+         Poly((Fraction(1),))),
+        (parse(H_TOWER, "(x+1)/x").num, parse(H_TOWER, "(x+1)*t1 + x").num,
+         Poly((one_at(1),))),
+        (parse(N_TOWER, "t1/(x+1)").num, parse(N_TOWER, "t1*t2 + t1").num,
+         Poly((one_at(2),))),
+    ]
+    for const, other, one in cases:
+        assert const.degree() == 0
+        assert poly_gcd(const, other) == one
+        assert poly_gcd(other, const) == one
+        assert poly_gcd(const, const) == one
+        assert poly_gcd(Poly(()), const) == one
+
+
 def test_poly_xgcd_bezout():
     rng = random.Random(104)
     for _ in range(60):
@@ -262,6 +280,45 @@ def test_ratfunc_sum_with_common_denominator_factor_depth_two():
         c = parse(H_TOWER, f"({rng.choice(nums)})/({d3})")
         _assert_canonical_sum(a, b)
         assert _assert_canonical_sum(a, c - a) == c
+
+
+def _assert_canonical(v):
+    assert v.den.lc() == one_at(v.depth - 1)
+    assert v.num.is_zero() or poly_gcd(v.num, v.den).degree() == 0
+
+
+# values at depths 1, 2 and 3 of N_TOWER whose numerators and denominators
+# share factors across the pool, so products and quotients cross-cancel
+_TRUSTED_POOLS = {
+    1: ("(3*x+3)/(2*x-4)", "(x-2)^2/(x*(x+1))", "-x/(x+1)^2", "5/(7*x)",
+        "(x^2+1)/(x-2)"),
+    2: ("(x*t1+x)/(t1-1/x)", "(t1-1/x)^2/(3*(t1+1)*(t1+x))", "-2*t1/(x+1)",
+        "(t1+x)/(x*t1^2+1)", "(x+1)/x"),
+    3: ("(t2+t1)/(x*t2-1)", "(x*t2-1)^2/((t2+t1)*(t2+1/x))", "t1*t2/(x+2)",
+        "-(t2+1/x)/(t1*t2+t1)", "x/t1"),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(_TRUSTED_POOLS))
+def test_products_and_inverses_are_canonical_without_a_final_gcd(depth):
+    vals = [lower(parse(N_TOWER, text), depth)
+            for text in _TRUSTED_POOLS[depth]]
+    for a in vals:
+        assert a.depth == depth
+        inv = a.inv()
+        _assert_canonical(inv)
+        assert inv == RatFunc(a.den, a.num, depth)
+        for k in (2, 3, -1, -2):
+            p = a ** k
+            _assert_canonical(p)
+            n, d = (a.num, a.den) if k > 0 else (a.den, a.num)
+            assert p == RatFunc(n ** abs(k), d ** abs(k), depth)
+        for b in vals:
+            prod, quo = a * b, a / b
+            _assert_canonical(prod)
+            _assert_canonical(quo)
+            assert prod == RatFunc(a.num * b.num, a.den * b.den, depth)
+            assert quo == RatFunc(a.num * b.den, a.den * b.num, depth)
 
 
 def test_ratfunc_field_axioms_by_evaluation():

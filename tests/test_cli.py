@@ -12,6 +12,7 @@ from sumred.towerfile import load_tower_file
 
 ROOT = Path(__file__).resolve().parent.parent
 HARMONIC = str(ROOT / "towers" / "harmonic.tower")
+CREATIVE = str(ROOT / "towers" / "creative.tower")
 
 # --json documents of commands on the bundled towers, timing_ms left out.
 # They cover reduce, telescope, param-telescope, sigma-check, depth-reduce,
@@ -49,6 +50,22 @@ def test_reduce_parse_error_is_a_typed_document(capsys):
     assert doc["command"] == "reduce"
     assert doc["error"]["type"] == "ParseError"
     assert "t3" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("tower,extra,needle", [
+    (HARMONIC, ["--verify-range", "0..5", "--start", "3"], "--start 3"),
+    (CREATIVE, [], "missing parameter"),
+    (HARMONIC, ["--init", "zz=1"], "unknown generator"),
+    (HARMONIC, ["--param", "n=1"], "unknown parameters"),
+], ids=["range-before-start", "missing-param", "unknown-init",
+        "unknown-param"])
+def test_verify_usage_error_is_a_typed_document(capsys, tower, extra, needle):
+    code, doc = run_json(capsys, ["verify", "--tower", tower,
+                                  "--expr", "1/t1"] + extra)
+    assert code == 2
+    assert doc["command"] == "verify"
+    assert doc["error"]["type"] == "ParseError"
+    assert needle in doc["error"]["message"]
 
 
 def test_reduce_irreducible_cubic_above_the_bottom(capsys):

@@ -1,14 +1,16 @@
 """Exact sequence evaluation and numeric verification of engine output."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import H_TOWER, N_TOWER, P_TOWER, Q_TOWER, delta, parse
-from sumred.algebra import Poly, RatFunc
+from conftest import (H_TOWER, N_TOWER, P_TOWER, Q_TOWER, delta, parse,
+                      rand_value)
+from sumred.algebra import Poly, RatFunc, vdepth, zero_at
 from sumred.reduction import ReductionContext, complete_reduction
-from sumred.sequences import (POLE, SequenceAssignment, eval_sequence,
-                              fit_rational, verify_recurrence,
+from sumred.sequences import (POLE, SequenceAssignment, _eval_at, _Pole,
+                              eval_sequence, fit_rational, verify_recurrence,
                               verify_sigma_pair)
 from sumred.towerfile import parse_tower_text
 
@@ -98,6 +100,105 @@ def test_verify_flags_a_corrupted_pair():
     assert bad.failures
     bad2 = verify_sigma_pair(N_TOWER, f, (g, r + Fraction(1)), assign, 1, 10)
     assert len(bad2.failures) == 10
+
+
+def _fraction_horner(v, vals):
+    """Reference evaluator: Horner in Fraction, one reduction per step."""
+    def val(u, depth):
+        if isinstance(u, Fraction):
+            return u
+        den = pol(u.den, depth)
+        if den == 0:
+            raise _Pole
+        return pol(u.num, depth) / den
+
+    def pol(p, depth):
+        point = vals.get(depth)
+        if point is None:
+            if p.degree() == 0:
+                return val(p.coeffs[0], depth - 1)
+            raise _Pole
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * point + val(c, depth - 1)
+        return acc
+
+    return val(v, vdepth(v))
+
+
+def _outcome(evaluate, v, vals):
+    try:
+        return evaluate(v, vals)
+    except _Pole:
+        return POLE
+
+
+@pytest.mark.parametrize("tower", [N_TOWER, P_TOWER], ids=["N", "P"])
+def test_integer_pair_evaluator_matches_fraction_horner(tower):
+    rng = random.Random(140)
+    depth = tower.full_depth
+    # 1/(x-1) has a pole at x = 1, (x-2)/(x+3) a zero at x = 2
+    fixed = [parse(tower, "1/(x-1) + t1"), parse(tower, "(x-2)/(x+3)"),
+             zero_at(depth)]
+    values = fixed + [rand_value(tower, rng) for _ in range(30)]
+    seen = {"pole": 0, "zero": 0, "poisoned": 0, "value": 0}
+    for v in values:
+        for _ in range(8):
+            vals = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for d in range(1, depth + 1)}
+            if rng.random() < 0.3:
+                vals[depth] = None  # the top generator is poisoned
+                seen["poisoned"] += 1
+            got = _outcome(_eval_at, v, vals)
+            assert got == _outcome(_fraction_horner, v, vals)
+            if got is POLE:
+                seen["pole"] += 1
+            else:
+                seen["zero" if got == 0 else "value"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def _three_walks(tower, f, pair, assign, k_from, k_to):
+    """Reference pointwise check: one eval_sequence walk each for f, g, r."""
+    g, r = pair
+    fv = dict(eval_sequence(tower, f, assign, k_from, k_to))
+    gv = dict(eval_sequence(tower, g, assign, k_from, k_to + 1))
+    rv = dict(eval_sequence(tower, r, assign, k_from, k_to))
+    checked = skipped = 0
+    failures = []
+    for k in range(k_from, k_to + 1):
+        parts = (fv[k], gv[k + 1], gv[k], rv[k])
+        if any(p is POLE for p in parts):
+            skipped += 1
+            continue
+        checked += 1
+        resid = parts[0] - (parts[1] - parts[2] + parts[3])
+        if resid != 0:
+            failures.append((k, resid))
+    return (checked, skipped, failures)
+
+
+_POISON_TOWER = parse_tower_text("gen x : 1\nseed x : x\ngen s : 1/(x-2)\n")
+
+
+@pytest.mark.parametrize("tower,params,texts", [
+    (N_TOWER, {}, ["t2/x", "1/(x-3) + t1^2/(t1+1)", "t2^2/(x+1) + 1/(t1-2)"]),
+    (P_TOWER, {"n": 5}, ["t1/(n-x)", "x*t1/(x+n)^2"]),
+    (_POISON_TOWER, {}, ["s^2 - s", "x*s"]),
+], ids=["N", "P", "poisoned"])
+def test_one_orbit_check_matches_three_walks(tower, params, texts):
+    ctx = ReductionContext(tower)
+    assign = SequenceAssignment(tower, params=params)
+    skipped = 0
+    for text in texts:
+        f = parse(tower, text)
+        g, r = complete_reduction(ctx, f)
+        for pair in ((g, r), (g + parse(tower, "1/(x+4)"), r)):
+            rep = verify_sigma_pair(tower, f, pair, assign, 0, 9)
+            assert tuple(rep) == _three_walks(tower, f, pair, assign, 0, 9)
+            skipped += rep.skipped
+        assert rep.failures  # the corrupted pair
+    assert skipped > 0
 
 
 def test_trivial_pair_always_verifies():

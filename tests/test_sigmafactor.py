@@ -9,6 +9,7 @@ import sympy
 
 from sumred.algebra import Poly, lower, one_at, poly_sort_key, zero_at
 from sumred.reduction import ReductionContext
+from sumred import sigmafactor
 from sumred.sigmafactor import factor_monic, shift_equivalence
 from sumred.towerfile import load_tower_file, parse_tower_text
 
@@ -105,6 +106,15 @@ def test_factor_monic_bottom_level():
     p2 = _q(1, 1, 1) * _q(2, 0, 1)
     facs2 = factor_monic(p2)
     assert facs2 == _by_rep([(_q(1, 1, 1), 1), (_q(2, 0, 1), 1)])
+
+
+def test_factor_monic_takes_a_linear_polynomial_as_it_is(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a linear polynomial reached the factorizer")
+
+    monkeypatch.setattr(sigmafactor, "dmp_factor_list", refuse)
+    p = parse(H_TOWER, "(x+1)*t1 + 1/x").num
+    assert factor_monic(p) == [(parse(H_TOWER, "t1 + 1/(x^2+x)").num, 1)]
 
 
 def test_factor_monic_uses_seeded_representatives():
