@@ -4,7 +4,9 @@ Subcommands map one to one onto the library operations: reduce and
 telescope produce a sigma-pair, param-telescope a basis of telescoper
 rows, sigma-check a monomial certificate, well-generate and depth-reduce
 the rebuilt tower, verify a pointwise numeric check, bench a timing
-table over random summable inputs.  Exit codes: 0 success, 1 when
+table over random summable inputs (each trial reduces in a fresh context,
+but the trials share one tower, so trials after the first run on the
+tower's warm factorizations and level data).  Exit codes: 0 success, 1 when
 --require-summable is set and the remainder is nonzero, 2 for engine or
 usage errors.
 """
@@ -113,11 +115,17 @@ def _build_parser():
                    help="parameter value (repeatable)")
 
     p = sub.add_parser("bench",
-                       help="time reductions of random summable inputs")
+                       help="time reductions of random summable inputs",
+                       description="Time reductions of random summable "
+                                   "inputs. Each trial reduces in a fresh "
+                                   "context on one shared tower, so trials "
+                                   "after the first run on the tower's warm "
+                                   "factorizations and level data.")
     common(p, exprs="none")
     p.add_argument("--degrees", default="5,10,15",
-                   help="comma separated total degrees")
-    p.add_argument("--trials", type=int, default=3)
+                   help="comma separated total degrees, each >= 0")
+    p.add_argument("--trials", type=int, default=3,
+                   help="timed reductions per degree, >= 1")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -407,7 +415,9 @@ def _cmd_verify(args):
 
 def _cmd_bench(args):
     tower = _load_tower(args, default_text=_BENCH_TOWER)
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    degrees = _parse_degrees(args.degrees)
+    if args.trials < 1:
+        raise ParseError(f"--trials wants at least 1, got {args.trials}")
     table = []
     human = []
     for degree in degrees:
@@ -459,6 +469,17 @@ def _random_poly(tower, degree, rng):
 
     p = build(tower.full_depth, degree)
     return RatFunc.from_poly(p, tower.full_depth)
+
+
+def _parse_degrees(text):
+    try:
+        degrees = [int(d) for d in text.split(",") if d.strip()]
+    except ValueError:
+        raise ParseError(f"--degrees wants comma separated integers, "
+                         f"got {text!r}")
+    if any(d < 0 for d in degrees):
+        raise ParseError(f"--degrees wants degrees >= 0, got {text!r}")
+    return degrees
 
 
 def _parse_range(text):

@@ -15,8 +15,8 @@ The basis runs over the actual irreducible factors of the denominators,
 not over their shift-class representatives, so every value has
 coordinates, canonical remainders included (their lower-level content is
 not itself a remainder). Reading coordinates factors denominators through
-the context's cache but never classifies them: the representative sets
-and notes change only through reduction.
+the tower's factorization cache but never classifies them: the
+representative sets and notes change only through reduction.
 """
 
 from __future__ import annotations

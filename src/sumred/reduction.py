@@ -6,10 +6,26 @@ equal remainders certify that two inputs differ by a difference. The zero
 test and the equality test for indefinite nested sums both ride on this.
 
 A ReductionContext carries the mutable session state: the representative
-sets that pin shift classes, the per-level reduction pairs and echelon
-bases, and memo tables. Results are deterministic for a fixed tower and
-seed list; reusing one context across calls keeps earlier choices (and
-therefore earlier answers) stable.
+sets that pin shift classes, the notes on new representatives, the
+classification cache and the reduction memo. Results are deterministic for
+a fixed tower and seed list; reusing one context across calls keeps earlier
+choices (and therefore earlier answers) stable.
+
+What does not depend on a context's own representatives is kept once per
+tower, for every context on it:
+
+ * factorizations, which depend on the polynomial alone;
+ * the level data: each increment's reduction pair, the pivot coordinate
+   of its residue and the echelon rows. These are computed in the tower's
+   seed context, which is handed the tower's own data only, never an
+   input, and they are shared while its representative lists are still
+   the seed lists. That is exact: every context's lists start with the
+   same seeds in the same order and a class has one representative, so a
+   computation that met only seeded classes classifies every factor the
+   same way in any context. Once a lookup meets an unseeded class (an
+   increment such as 1/(x^2+1), or a tower without seeds) the seed context
+   has a representative of its own choosing, and from then on each context
+   computes its level data itself.
 
 The split into a polynomial part and a proper part is preserved by the
 shift, so the two reduce independently:
@@ -44,30 +60,68 @@ from .errors import InvalidTowerError
 from .sigmafactor import factor_monic, shift_equivalence
 
 
+class _PerTower:
+    """What every context on one tower shares.
+
+    factors caches factor_monic, keyed by (depth, p). seed is the tower's
+    seed context, made on the first level-data lookup.
+    """
+
+    __slots__ = ("factors", "seed")
+
+    def __init__(self):
+        self.factors = {}
+        self.seed = None
+
+
 class ReductionContext:
-    """Session state for reductions over one tower."""
+    """Session state for reductions over one tower.
+
+    Per context: reps, notes, the classification cache and the memo. Per
+    tower: factorizations, and the first pairs, second pairs and echelon
+    rows of the tower's seed context while that context has met seeded
+    classes only (see the module docstring for why that is exact).
+    """
 
     def __init__(self, tower):
         self.tower = tower
         self.reps = {level: list(tower.gens[level - 1].seed_reps)
                      for level in range(1, tower.nlevels + 1)}
         self.notes = []
-        self._factor_cache = {}
+        if tower._reduction is None:
+            tower._reduction = _PerTower()
+        self._per_tower = tower._reduction
         self._classify_cache = {}
         self._first = {}
         self._second = {}
         self._echelon = {}
         self._memo = {}
 
+    def _from_seeds(self, lookup, *args):
+        """lookup(seed context, *args), or None when it cannot be shared.
+
+        A note is written exactly when a representative is added, so a seed
+        context without notes has the seed lists and nothing else.
+        """
+        shared = self._per_tower
+        seed = shared.seed
+        if seed is None:
+            seed = shared.seed = ReductionContext(self.tower)
+        if seed is self or seed.notes:
+            return None
+        hit = lookup(seed, *args)
+        return None if seed.notes else hit
+
     # -- shift-class bookkeeping -------------------------------------------
 
     def factor(self, p, depth):
-        """Monic irreducible factorization, cached."""
+        """Monic irreducible factorization, cached per tower."""
+        cache = self._per_tower.factors
         key = (depth, p)
-        hit = self._factor_cache.get(key)
+        hit = cache.get(key)
         if hit is None:
             hit = factor_monic(p)
-            self._factor_cache[key] = hit
+            cache[key] = hit
         return hit
 
     def classify_den(self, den, depth):
@@ -106,9 +160,11 @@ class ReductionContext:
         """(g, v) with increment = shift(g) - g + v, v the canonical residue."""
         hit = self._first.get(level)
         if hit is None:
-            depth = self.tower.depth_of_level(level)
-            a = self.tower.gens[level - 1].delta
-            hit = complete_reduction(self, a, depth - 1)
+            hit = self._from_seeds(ReductionContext.first_pair, level)
+            if hit is None:
+                depth = self.tower.depth_of_level(level)
+                a = self.tower.gens[level - 1].delta
+                hit = complete_reduction(self, a, depth - 1)
             self._first[level] = hit
         return hit
 
@@ -116,13 +172,16 @@ class ReductionContext:
         """Pivot coordinate of the level's residue; validates the level."""
         hit = self._second.get(level)
         if hit is None:
-            _g, v = self.first_pair(level)
-            if _is_zero_val(v):
-                name = self.tower.gens[level - 1].name
-                raise InvalidTowerError(
-                    f"increment of {name!r} is a difference of elements "
-                    f"below it; the tower level is redundant")
-            hit = leading_coordinate(self, v, self.tower.depth_of_level(level) - 1)
+            hit = self._from_seeds(ReductionContext.second_pair, level)
+            if hit is None:
+                _g, v = self.first_pair(level)
+                if _is_zero_val(v):
+                    name = self.tower.gens[level - 1].name
+                    raise InvalidTowerError(
+                        f"increment of {name!r} is a difference of elements "
+                        f"below it; the tower level is redundant")
+                hit = leading_coordinate(
+                    self, v, self.tower.depth_of_level(level) - 1)
             self._second[level] = hit
         return hit
 
@@ -133,6 +192,9 @@ class ReductionContext:
         below = depth - 1
         rows = self._echelon.get(level)
         if rows is None:
+            hit = self._from_seeds(ReductionContext.echelon_entry, level, i)
+            if hit is not None:
+                return hit
             g_t, v = self.first_pair(level)
             self.second_pair(level)
             w0 = Poly((-g_t, one_at(below)))

@@ -99,6 +99,9 @@ class TowerSpec:
         for i, gen in enumerate(self.gens):
             self._by_name[gen.name] = self.nparams + i + 1
         self._pows = {}
+        # what reduction's contexts share over this tower (factorizations
+        # and the seed context), set by the first context made on it
+        self._reduction = None
 
     @staticmethod
     def _check_seed(rep, gname, home):

@@ -146,6 +146,20 @@ def test_bench_reports_summable_rows(capsys):
             for row in doc["bench"]] == [(3, 1, True)]
 
 
+@pytest.mark.parametrize("extra,needle", [
+    (["--trials", "0"], "--trials"),
+    (["--degrees", "x"], "--degrees"),
+    (["--degrees", "3,-1"], ">= 0"),
+], ids=["no-trials", "non-integer-degree", "negative-degree"])
+def test_bench_usage_error_is_a_typed_document(capsys, extra, needle):
+    code, doc = run_json(capsys, ["bench", "--degrees", "3", "--trials", "1"]
+                         + extra)
+    assert code == 2
+    assert doc["command"] == "bench"
+    assert doc["error"]["type"] == "ParseError"
+    assert needle in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("golden", GOLDENS,
                          ids=[f"{i}-{g['argv'][0]}" for i, g in enumerate(GOLDENS)])
 def test_json_documents_match_the_goldens(capsys, monkeypatch, golden):

@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 from sumred.algebra import Poly, RatFunc, drop, lift, one_at, zero_at
+from sumred import reduction
 from sumred.effbasis import BASIS_ONE, coordinate_of
 from sumred.reduction import (ReductionContext, auxiliary_reduction,
                               complete_reduction, reduce_polynomial,
                               reduce_proper)
+from sumred.tower import TowerSpec
+from sumred.towerfile import parse_tower_text
 
 from conftest import (B_TOWER, H_TOWER, N_TOWER, P_TOWER, Q_TOWER,
                       assert_sigma_pair, delta, parse, rand_rat1, rand_value)
@@ -395,3 +398,62 @@ def test_roundtrip_summability_degree_ten():
         assert _is_zero(r)
         assert B_TOWER.delta(g) == f
         assert elapsed <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# level data shared per tower
+# ---------------------------------------------------------------------------
+
+# towers whose increments meet classes no seed names, so a context's own
+# representatives decide their first pairs
+UNSEEDED = parse_tower_text("gen x : 1\ngen t1 : 1/(x+1)\n")
+UNSEEDED_QUAD = parse_tower_text(
+    "gen x : 1\nseed x : x\ngen t1 : 1/(x^2+1)\n")
+
+
+@pytest.mark.parametrize("tower,text", [(UNSEEDED, "1/(x+7)"),
+                                        (UNSEEDED_QUAD, "1/(x^2+4*x+5)")],
+                         ids=["no-seed", "quadratic-increment"])
+def test_unseeded_level_data_follows_the_context(tower, text):
+    # the warming context picks x+1 (x^2+1) as the class's representative;
+    # a fresh one meets x+7 (x^2+4*x+5) first, so its v is 1/(x+7)
+    # (1/(x^2+4*x+5)) and the input telescopes against the increment
+    complete_reduction(ReductionContext(tower), parse(tower, "t1^2"))
+    f = tower.lift_to_top(parse(tower, text))
+    g, r = complete_reduction(ReductionContext(tower), f)
+    assert _is_zero(r)
+    assert_sigma_pair(tower, f, g, r)
+
+
+def test_fresh_context_on_a_warm_tower_reuses_level_data(monkeypatch):
+    f = B_TOWER.delta(parse(B_TOWER, "t2^3"))
+    complete_reduction(ReductionContext(B_TOWER), f)
+    counts = {"factor_monic": 0, "frac_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # frac_at is called once per echelon row built
+    monkeypatch.setattr(reduction, "factor_monic",
+                        counted("factor_monic", reduction.factor_monic))
+    monkeypatch.setattr(reduction, "frac_at",
+                        counted("frac_at", reduction.frac_at))
+    g, r = complete_reduction(ReductionContext(B_TOWER), f)
+    assert _is_zero(r)
+    assert B_TOWER.delta(g) == f
+    assert counts == {"factor_monic": 0, "frac_at": 0}
+
+
+@pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, B_TOWER, UNSEEDED,
+                                   UNSEEDED_QUAD],
+                         ids=["H", "N", "B", "no-seed", "quadratic-increment"])
+def test_warm_tower_reduces_like_a_fresh_copy(tower):
+    rng = random.Random(905)
+    for _ in range(3):
+        f = rand_value(tower, rng)
+        warm = complete_reduction(ReductionContext(tower), f)
+        copy = TowerSpec(tower.gens, params=tower.params)
+        assert warm == complete_reduction(ReductionContext(copy), f)

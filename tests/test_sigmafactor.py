@@ -1,6 +1,7 @@
 """Shift classes and denominator factorization."""
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,18 @@ def test_classify_places_far_shifts_in_the_class(tower_file, expr, depth, ks):
     for k in ks:
         q = tower.sigma_poly(p, depth, k)
         assert ctx.classify_den(q, depth) == ((p, k, 1),)
+
+
+def test_false_far_candidate_is_rejected_without_the_shift_sum():
+    # rem(2560/(x+1)) = 2560*v proposes k = 2560, and sigma^2560(t1) would
+    # sum 2560 terms; sigma(S_k) - S_k = sigma^k(a) - a rejects it first
+    ctx = ReductionContext(H_TOWER)
+    ctx.classify_den(T1, 2)
+    q = _lin2("2560/(x+1)")
+    started = time.process_time()
+    assert ctx.classify_den(q, 2) == ((q, 0, 1),)
+    assert time.process_time() - started < 1.0
+    assert ctx.reps[2] == [T1, q]
 
 
 @pytest.mark.parametrize("tower_file,other", [
