@@ -10,18 +10,25 @@ monic, recursively at every depth. Rational content therefore migrates into
 the top-level numerator, which makes equal values structurally equal; tests
 compare results by == on purpose.
 
-Polynomials are dense tuples, lowest degree first, with no trailing zero.
-The zero polynomial is the empty tuple; degree() reports -1 for it (standing
-in for degree minus infinity).
+Polynomials are dense, lowest degree first, with no trailing zero. The zero
+polynomial has no coefficients; degree() reports -1 for it (standing in for
+degree minus infinity).
 
-At the bottom level (Fraction coefficients) the work runs over ZZ. A product
-or a division of two polynomials of at least two terms each clears both once
-(_to_zpoly), multiplies or pseudo-divides plain ints (_zpoly_pdivmod scales
-the running remainder by lc / gcd rather than inverting the leading
-coefficient) and builds each output coefficient once as a Fraction. The gcd
-is an integer primitive PRS (_qpoly_gcd) on the same pseudo-division
-kernel. Scalar products and divisions, and every operation on RatFunc
-coefficients, stay coefficient by coefficient.
+A polynomial with Fraction coefficients (the bottom level, Q[y]) stores
+integers: a tuple of numerators over one positive common denominator,
+normalised so that the numerators' content is coprime to the denominator.
+Two such forms of one polynomial are equal: if c / d = c' / d', then d
+divides d' * content(c'), hence d', and the other way round. So == and hash
+read the stored form, as they read the coefficient tuple of RatFuncs above
+(canonical recursively). Every operation on the bottom level runs on these
+integers: sums bring both sides to the lcm of their denominators, products
+and scalar products multiply plain ints, divisions pseudo-divide them
+(_zpoly_pdivmod scales the running remainder by lc / gcd rather than
+inverting the leading coefficient), and each result is normalised once by
+_zpoly. coeffs, the Fraction tuple that printing, the sort keys and generic
+code read, is built on first read and then kept; results nobody reads never
+build it. A Poly built from Fractions is cleared once (_to_zpoly), which
+already gives the normalised form.
 
 RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) it forms
 n1 * (d2/g) + n2 * (d1/g) over d1 * (d2/g), and only gcd(num, g) can cancel,
@@ -38,9 +45,10 @@ two. A gcd with a nonzero constant operand is the constant 1 and is
 returned without any work; most of those come from the cross-cancellation.
 
 poly_gcd picks its method by coefficient depth. Fraction coefficients take an
-integer primitive PRS (_qpoly_gcd). RatFunc coefficients of depth c >= 1 are
-cleared of denominators into ZZ[y_1..y_c, t] and take one gcd over ZZ
-(sympy's dmp_gcd: heuristic gcd, PRS fallback); Euclid over Q(y_1)..(y_c)[t]
+integer primitive PRS (_qpoly_gcd) on the stored numerators. RatFunc
+coefficients of depth c >= 1 are cleared of denominators into
+ZZ[y_1..y_c, t] and take one gcd over ZZ (sympy's dmp_gcd: heuristic gcd,
+PRS fallback); Euclid over Q(y_1)..(y_c)[t]
 would swell its coefficients. By Gauss's lemma the ZZ gcd differs from the
 field gcd by a unit of the field below, so dividing by its leading
 coefficient gives the monic gcd, and each coefficient is rebuilt in
@@ -51,11 +59,11 @@ over the field below by _monic_from_zz. sigmafactor factors denominators
 through the same pair: it hands the image to sympy's dmp_factor_list and
 rebuilds each factor, so it never reads the image format itself.
 
-The optional integer cap (SUMRED_MAX_INT_BITS) is checked on the Fraction
-coefficients of every Poly built, so it covers returned values; the integers
-inside the bottom-level kernels and the gcd computations (the cleared
-operands, the pseudo-remainders, _qpoly_gcd and the ZZ images) are not
-checked.
+The optional integer cap (SUMRED_MAX_INT_BITS) is checked on the reduced
+Fraction coefficients of every Poly built, so it covers returned values; it
+costs one test per Poly when unset. The integers inside the bottom-level
+kernels and the gcd computations (the pseudo-remainders, _qpoly_gcd and the
+ZZ images) are not checked.
 """
 
 from __future__ import annotations
@@ -97,144 +105,193 @@ def load_int_cap_from_env(env="SUMRED_MAX_INT_BITS"):
 load_int_cap_from_env()
 
 
-def _guard(fr):
-    if _INT_CAP is not None:
-        if fr.numerator.bit_length() > _INT_CAP or fr.denominator.bit_length() > _INT_CAP:
-            raise IntegerLimitError(
-                f"integer exceeds configured cap of {_INT_CAP} bits")
-    return fr
+def _guard(n, d):
+    """Raise IntegerLimitError when the reduced n / d is over the cap."""
+    g = math.gcd(n, d)
+    if (n // g).bit_length() > _INT_CAP or (d // g).bit_length() > _INT_CAP:
+        raise IntegerLimitError(
+            f"integer exceeds configured cap of {_INT_CAP} bits")
 
 
 class Poly:
-    """Dense univariate polynomial; see the module docstring for conventions."""
+    """Dense univariate polynomial; see the module docstring for conventions.
 
-    __slots__ = ("coeffs",)
+    _c holds the stored coefficients: integer numerators over the common
+    denominator _d at the bottom level, the RatFunc values themselves above
+    it (where _d is None). coeffs is the coefficient tuple; at the bottom
+    level it is the Fraction view, built on first read.
+    """
+
+    __slots__ = ("_c", "_d", "coeffs")
 
     def __init__(self, coeffs=()):
         coeffs = tuple(coeffs)
         n = len(coeffs)
         while n and _is_zero_val(coeffs[n - 1]):
             n -= 1
-        coeffs = coeffs[:n]
-        if _INT_CAP is not None and coeffs and isinstance(coeffs[0], Fraction):
-            for c in coeffs:
-                _guard(c)
-        self.coeffs = coeffs
+        if n and isinstance(coeffs[0], Fraction):
+            ints, den = _to_zpoly(coeffs[:n])
+            self._c, self._d = tuple(ints), den
+            if _INT_CAP is not None:
+                for c in coeffs:
+                    _guard(c.numerator, c.denominator)
+            return
+        self.coeffs = self._c = coeffs[:n]
+        self._d = None if n else 1
+
+    def __getattr__(self, name):
+        # only the Fraction view of a bottom-level Poly is ever unset
+        if name != "coeffs":
+            raise AttributeError(name)
+        d = self._d
+        view = tuple([Fraction(n, d) for n in self._c])
+        self.coeffs = view
+        return view
+
+    def as_integers(self):
+        """(numerators, denominator) with self = numerators / denominator,
+        for Fraction coefficients; the form is normalised as stored."""
+        return self._c, self._d
 
     # -- inspection ------------------------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def lc(self):
-        if not self.coeffs:
+        a = self._c
+        if not a:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return a[-1] if self._d is None else Fraction(a[-1], self._d)
 
     def coeff(self, i, depth_below=None):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        a = self._c
+        if 0 <= i < len(a):
+            return a[i] if self._d is None else Fraction(a[i], self._d)
         if depth_below is None:
-            if not self.coeffs:
+            if not a:
                 raise ValueError("coefficient depth unknown for zero Poly")
-            return _zero_like(self.coeffs[0])
+            depth_below = _coeff_depth(self)
         return zero_at(depth_below)
 
     def is_one(self):
-        return len(self.coeffs) == 1 and _is_one_val(self.coeffs[0])
+        a = self._c
+        if len(a) != 1:
+            return False
+        return a[0].is_one() if self._d is None else a[0] == self._d
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a:
-            return other
-        if not b:
-            return self
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
+        return self._sum(other, True)
+
+    def _sum(self, other, subtract):
+        a, b = self._c, other._c
         if not b:
             return self
         if not a:
-            return -other
-        out = list(a) + [_zero_like(a[0])] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = out[i] - c
-        return Poly(out)
+            return -other if subtract else other
+        d = self._d
+        if d != other._d:
+            # numerators over the lcm of the two denominators
+            g = math.gcd(d, other._d)
+            ma, mb = other._d // g, d // g
+            a, b, d = [x * ma for x in a], [y * mb for y in b], d * ma
+        out = list(a)
+        if len(out) < len(b):
+            zero = 0 if d is not None else zero_at(a[0].depth)
+            out += [zero] * (len(b) - len(out))
+        if subtract:
+            for i, c in enumerate(b):
+                out[i] -= c
+        else:
+            for i, c in enumerate(b):
+                out[i] += c
+        return Poly(out) if d is None else _zpoly(out, d)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        a = self._c
+        if self._d is None:
+            return Poly(tuple(-c for c in a))
+        return _zp(tuple([-x for x in a]), self._d)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
         if not a or not b:
             return _P_ZERO
-        if len(a) == 1:
-            c = a[0]
-            return Poly(tuple(c * x for x in b))
+        if self._d is None:
+            if len(a) == 1:
+                c = a[0]
+                return Poly(tuple(c * x for x in b))
+            if len(b) == 1:
+                c = b[0]
+                return Poly(tuple(x * c for x in a))
+            out = [zero_at(a[0].depth)] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if _is_zero_val(ca):
+                    continue
+                for j, cb in enumerate(b):
+                    out[i + j] = out[i + j] + ca * cb
+            return Poly(out)
+        d = self._d * other._d
+        if len(a) < len(b):
+            a, b = b, a
         if len(b) == 1:
             c = b[0]
-            return Poly(tuple(x * c for x in a))
-        if isinstance(a[0], Fraction):
-            (ia, da), (ib, db) = _to_zpoly(a), _to_zpoly(b)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(ia):
-                if x:
-                    for j, y in enumerate(ib):
-                        out[i + j] += x * y
-            d = da * db
-            return Poly(tuple(Fraction(n, d) for n in out))
-        zero = _zero_like(a[0])
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if _is_zero_val(ca):
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+            return _zpoly([x * c for x in a], d)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _zpoly(out, d)
 
     def scale(self, c):
         """Multiply by a scalar of the coefficient depth."""
+        a = self._c
+        if not a or _is_one_val(c):
+            return self
         if _is_zero_val(c):
             return _P_ZERO
-        if _is_one_val(c):
-            return self
-        return Poly(tuple(x * c for x in self.coeffs))
+        if self._d is None:
+            return Poly(tuple(x * c for x in a))
+        n = c.numerator
+        return _zpoly([x * n for x in a], self._d * c.denominator)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Poly")
         if n == 0:
-            if not self.coeffs:
+            if not self._c:
                 raise ValueError("0**0 of unknown depth")
-            return Poly((_one_like(self.coeffs[0]),))
+            return _one_poly(_coeff_depth(self))
         return _power(self, n)
 
     # -- euclidean structure ----------------------------------------------
 
     def divmod(self, other):
         """Exact-field long division: self = q*other + r with deg r < deg other."""
-        if other.is_zero():
+        b = other._c
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        a = list(self.coeffs)
-        b = other.coeffs
         db = len(b) - 1
-        if len(a) - 1 < db:
+        if len(self._c) - 1 < db:
             return _P_ZERO, self
-        if db > 0 and isinstance(b[0], Fraction):
-            return _qpoly_divmod(a, b)
+        if other._d is not None:
+            # pseudo-division s * A = Q * B + R of the numerators gives
+            # q = Q * db / (s * da) and r = R / (s * da)
+            q, r, s = _zpoly_pdivmod(self._c, b)
+            s *= self._d
+            return _zpoly([c * other._d for c in q], s), _zpoly(r, s)
+        a = list(self._c)
         inv_lc = _inv_val(b[-1])
-        q = [_zero_like(b[-1])] * (len(a) - db)
+        q = [zero_at(b[-1].depth)] * (len(a) - db)
         for i in range(len(a) - 1, db - 1, -1):
             c = a[i]
             if _is_zero_val(c):
@@ -259,12 +316,14 @@ class Poly:
         c = self.lc()
         if _is_one_val(c):
             return c, self
-        return c, self.scale(_inv_val(c))
+        if self._d is None:
+            return c, self.scale(_inv_val(c))
+        return c, _zpoly(list(self._c), self._c[-1])
 
     def eval(self, point):
         """Horner evaluation at a value of the coefficient depth."""
         if not self.coeffs:
-            return _zero_like(point)
+            return zero_at(vdepth(point))
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * point + c
@@ -272,17 +331,62 @@ class Poly:
 
     # -- comparison --------------------------------------------------------
 
+    # the stored form is canonical at every depth (see the module
+    # docstring), so equal polynomials store equal (_c, _d)
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._c == other._c
+                and self._d == other._d)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._c, self._d))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
 
+def _zp(c, d):
+    """The Poly c / d for a tuple c of ints already in stored form."""
+    p = Poly.__new__(Poly)
+    p._c, p._d = c, d
+    if _INT_CAP is not None:
+        for n in c:
+            _guard(n, d)
+    return p
+
+
+def _zpoly(c, d):
+    """The Poly c / d for a list c of ints and an int d != 0, normalised:
+    no trailing zero, d > 0 and gcd(content, d) = 1."""
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    if not n:
+        return _P_ZERO
+    del c[n:]
+    if d < 0:
+        d = -d
+        c = [-x for x in c]
+    g = math.gcd(d, *c)
+    if g != 1:
+        d //= g
+        c = [x // g for x in c]
+    return _zp(tuple(c), d)
+
+
 _P_ZERO = Poly(())
+_P_ONE = _zp((1,), 1)
+
+
+def _coeff_depth(p):
+    """The depth of the coefficients of p (0 for the zero Poly)."""
+    return 0 if p._d is not None else p._c[0].depth
+
+
+def _const_poly(v):
+    """The constant polynomial v."""
+    if isinstance(v, Fraction):
+        return _zp((v.numerator,), v.denominator) if v else _P_ZERO
+    return Poly((v,))
 
 
 def _power(base, n):
@@ -438,18 +542,6 @@ def _is_one_val(v):
     return v.is_one()
 
 
-def _zero_like(v):
-    if isinstance(v, Fraction):
-        return F0
-    return zero_at(v.depth)
-
-
-def _one_like(v):
-    if isinstance(v, Fraction):
-        return F1
-    return one_at(v.depth)
-
-
 def _inv_val(v):
     if isinstance(v, Fraction):
         return 1 / v
@@ -485,16 +577,14 @@ def one_at(depth):
 
 
 def _one_poly(coeff_depth):
-    return Poly((one_at(coeff_depth),))
+    return _P_ONE if coeff_depth == 0 else Poly((one_at(coeff_depth),))
 
 
 def frac_at(fr, depth):
     """Embed a Fraction as a value of the given depth."""
-    _guard(fr)
-    v = fr
-    for d in range(1, depth + 1):
-        v = RatFunc(Poly((v,)), _one_poly(d - 1), d, _trusted=True)
-    return v
+    if _INT_CAP is not None:
+        _guard(fr.numerator, fr.denominator)
+    return lift(fr, depth)
 
 
 def lift(v, depth):
@@ -503,7 +593,7 @@ def lift(v, depth):
     if d > depth:
         raise ValueError("cannot lift downward")
     for dd in range(d + 1, depth + 1):
-        v = RatFunc(Poly((v,)), _one_poly(dd - 1), dd, _trusted=True)
+        v = RatFunc(_const_poly(v), _one_poly(dd - 1), dd, _trusted=True)
     return v
 
 
@@ -518,7 +608,7 @@ def drop(v):
         return None
     if v.num.is_zero():
         return zero_at(v.depth - 1)
-    return v.num.coeffs[0]
+    return v.num.coeff(0)
 
 
 def lower(v, depth=None):
@@ -561,7 +651,7 @@ def _reduce_pair(num, den):
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
-        return _P_ZERO, Poly((_one_like(den.lc()),))
+        return _P_ZERO, _one_poly(_coeff_depth(den))
     if not den.is_one():
         g = poly_gcd(num, den)
         if g.degree() > 0:
@@ -597,7 +687,7 @@ def poly_gcd(a, b):
         return b.monic()[1] if not b.is_zero() else b
     if b.is_zero():
         return a.monic()[1]
-    c = vdepth(a.coeffs[0])
+    c = _coeff_depth(a)
     if a.degree() == 0 or b.degree() == 0:
         return _one_poly(c)
     if c == 0:
@@ -610,12 +700,10 @@ def poly_gcd(a, b):
 
 def poly_xgcd(a, b):
     """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    zero_c = _zero_like(a.coeffs[0]) if a.coeffs else (
-        _zero_like(b.coeffs[0]) if b.coeffs else F0)
-    one_c = _one_like(zero_c)
+    one = _one_poly(_coeff_depth(a if a._c else b))
     r0, r1 = a, b
-    s0, s1 = Poly((one_c,)), _P_ZERO
-    t0, t1 = _P_ZERO, Poly((one_c,))
+    s0, s1 = one, _P_ZERO
+    t0, t1 = _P_ZERO, one
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
@@ -631,25 +719,11 @@ def poly_xgcd(a, b):
 
 
 def _qpoly_gcd(a, b):
-    """gcd for Fraction-coefficient polynomials via integer subresultant PRS."""
-    g = _zpoly_gcd(_to_zpoly(a.coeffs)[0], _to_zpoly(b.coeffs)[0])
-    # make monic over Q
-    lead = g[-1]
-    return Poly(tuple(Fraction(c, lead) for c in g))
-
-
-def _qpoly_divmod(a, b):
-    """Poly.divmod of Fraction coefficient tuples by pseudo-division over ZZ.
-
-    With a = A / da and b = B / db cleared, s * A = Q * B + R gives the
-    quotient Q * db / (s * da) and the remainder R / (s * da) over Q.
-    """
-    ia, da = _to_zpoly(a)
-    ib, db = _to_zpoly(b)
-    q, r, s = _zpoly_pdivmod(ia, ib)
-    sd = s * da
-    return (Poly(tuple(Fraction(c * db, sd) for c in q)),
-            Poly(tuple(Fraction(c, sd) for c in r)))
+    """Monic gcd of Fraction-coefficient polynomials of degree >= 1, by the
+    integer primitive PRS on their numerators. The primitive gcd over its
+    leading coefficient is already in stored form."""
+    g = _zpoly_gcd(a._c, b._c)
+    return _zp(tuple(g), g[-1])
 
 
 def _zz_poly(p, c):
@@ -659,9 +733,8 @@ def _zz_poly(p, c):
     variable outermost), D one in y_1..y_c (an int when c = 0).
     """
     if c == 0:
-        ints, den = _to_zpoly(p.coeffs)
-        return [ZZ(x) for x in reversed(ints)], ZZ(den)
-    pairs = [_zz_value(x, c) for x in reversed(p.coeffs)]
+        return [ZZ(x) for x in reversed(p._c)], ZZ(p._d)
+    pairs = [_zz_value(x, c) for x in reversed(p._c)]
     u = c - 1
     den = pairs[0][1]
     for _n, d in pairs[1:]:
@@ -691,26 +764,31 @@ def _monic_from_zz(f, c):
     coefficient in t removes every factor free of t, a unit of the field
     below; an f free of t comes back as the constant 1.
     """
-    lead = f[0]
+    return _poly_from_zz(f, f[0], c)
+
+
+def _poly_from_zz(f, lead, c):
+    """The Poly f / lead, for f over ZZ[y_1..y_c, t] (t outermost) and
+    lead != 0 over ZZ[y_1..y_c]."""
+    if c == 0:
+        return _zpoly([int(x) for x in reversed(f)], int(lead))
     return Poly(tuple(_from_zz(x, lead, c) for x in reversed(f)))
 
 
 def _from_zz(n, d, depth):
-    """The canonical value n / d, for n, d over ZZ in y_1..y_depth (d != 0).
+    """The canonical value n / d, for n, d over ZZ in y_1..y_depth (d != 0,
+    depth >= 1).
 
     n and d are cancelled over ZZ, hence coprime over the field below
     (Gauss's lemma); dividing both by the leading coefficient of d makes the
     denominator monic, and the coefficients are rebuilt the same way.
     """
-    if depth == 0:
-        return Fraction(int(n), int(d))
     u = depth - 1
     if dmp_zero_p(n, u):
         return zero_at(depth)
     n, d = dmp_cancel(n, d, u, ZZ)
     lead = d[0]
-    return RatFunc(Poly(tuple(_from_zz(x, lead, u) for x in reversed(n))),
-                   Poly(tuple(_from_zz(x, lead, u) for x in reversed(d))),
+    return RatFunc(_poly_from_zz(n, lead, u), _poly_from_zz(d, lead, u),
                    depth, _trusted=True)
 
 
@@ -772,16 +850,8 @@ def _zpoly_pdivmod(a, b):
 
 
 def _zpoly_gcd(a, b):
-    a = [c for c in a]
-    b = [c for c in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a:
-        return _zpoly_primitive(b) if b else [0]
-    if not b:
-        return _zpoly_primitive(a)
+    """Primitive gcd with a positive leading coefficient of two nonzero
+    integer coefficient sequences without trailing zeros."""
     if len(a) < len(b):
         a, b = b, a
     a = _zpoly_primitive(a)

@@ -273,23 +273,26 @@ def _eval_at(v, vals):
         return n * dd, d * dn
 
     def pol(p, depth):
-        coeffs = p.coeffs
         point = vals.get(depth)
         if point is None:
-            if len(coeffs) == 1:
-                return val(coeffs[0], depth - 1)
+            if p.degree() == 0:
+                return val(p.coeff(0), depth - 1)
             raise _Pole
-        if not coeffs:
+        if p.is_zero():
             return 0, 1
-        pairs = [val(c, depth - 1) for c in coeffs]
-        den = math.lcm(*(d for _n, d in pairs))
+        if depth == 1:
+            # Fraction coefficients: their numerators over one denominator
+            nums, den = p.as_integers()
+        else:
+            pairs = [val(c, depth - 1) for c in p.coeffs]
+            den = math.lcm(*(d for _n, d in pairs))
+            nums = [n * (den // d) for n, d in pairs]
         x, y = point.numerator, point.denominator
         # den * y^deg * p(x / y), Horner on homogenised integers
-        n, d = pairs[-1]
-        acc, w = n * (den // d), 1
-        for n, d in reversed(pairs[:-1]):
+        acc, w = nums[-1], 1
+        for n in reversed(nums[:-1]):
             w *= y
-            acc = acc * x + n * (den // d) * w
+            acc = acc * x + n * w
         return acc, den * w
 
     n, d = val(v, vdepth(v))

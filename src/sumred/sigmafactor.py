@@ -25,14 +25,17 @@ the closed form k = c/a. Every class decision is thereby certified: an
 irreducible becomes a new representative only when no shift relates it
 to an existing one.
 
-Above level 1, forming sigma^k(p) costs the k-term sum S_k, so a false
-candidate is rejected first without it. Comparing the same coefficients of
-sigma^k(p) = q gives S_k = gamma with gamma = (q_{d-1} - sigma^k(p_{d-1}))/d,
-and S_k telescopes: sigma(S_k) - S_k = sigma^k(a) - a for either sign of
-k. A gamma that fails this necessary condition means "not equivalent".
-At level 2, sigma^k(p_{d-1}) and sigma^k(a) lie at level 1 and cost a
-closed-form substitution; at level 3 and up they are shifts of level-2
-values, which still sum a level-2 S_k.
+Above level 1, forming sigma^k(p) costs the k-term sum S_k, so for
+|k| >= 2 a false candidate is rejected first without it. (At |k| = 1, S_k
+is the single term a or -sigma^{-1}(a): the test would save no sum and
+repeat the sigma^k(p_{d-1}) that the confirming shift forms anyway.)
+Comparing the same coefficients of sigma^k(p) = q gives S_k = gamma with
+gamma = (q_{d-1} - sigma^k(p_{d-1}))/d, and S_k telescopes:
+sigma(S_k) - S_k = sigma^k(a) - a for either sign of k. A gamma that
+fails this necessary condition means "not equivalent". At level 2,
+sigma^k(p_{d-1}) and sigma^k(a) lie at level 1 and cost a closed-form
+substitution; at level 3 and up they are shifts of level-2 values, which
+still sum a level-2 S_k.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def shift_equivalence(ctx, p, q, depth):
         return None
     k = int(k)
     tower = ctx.tower
-    if below > tower.nparams:
+    if below > tower.nparams and abs(k) >= 2:
         shifted = tower.sigma(p.coeff(d - 1, below), k)
         gamma = (q.coeff(d - 1, below) - shifted) / d
         a = tower.gens[level - 1].delta

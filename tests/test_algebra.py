@@ -126,6 +126,80 @@ def test_poly_mul_and_divmod_match_fraction_reference():
             assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
 
 
+def _ref(coeffs):
+    """A Fraction coefficient tuple without trailing zeros."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = a + (Fraction(0),) * (n - len(a))
+    b = b + (Fraction(0),) * (n - len(b))
+    return _ref(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by Euclid over Q on coefficient tuples."""
+    while b:
+        a, b = b, _ref(_ref_divmod(a, b)[1])
+    return _ref(x / a[-1] for x in a) if a else a
+
+
+def _bottom_poly(rng):
+    """Coefficients: often zero, constant, with negative or large
+    denominators and numerators."""
+    deg = rng.choice([-1, 0, 0, 1, 2, 3, 5])
+    coeffs = []
+    for _ in range(deg + 1):
+        if rng.random() < 0.25:
+            coeffs.append(Fraction(0))
+            continue
+        num = rng.randint(-10 ** rng.choice([1, 3, 30]), 10 ** 30)
+        den = rng.choice([1, 1, 2, 6, 7, 12, 2 ** 70 + 1, 3 ** 45])
+        coeffs.append(Fraction(num, rng.choice([den, -den])))
+    return coeffs
+
+
+def test_bottom_level_matches_the_fraction_reference():
+    rng = random.Random(150)
+    seen_zero = seen_const_divisor = 0
+    for _ in range(400):
+        ra, rb = _ref(_bottom_poly(rng)), _ref(_bottom_poly(rng))
+        a, b = Poly(ra), Poly(rb)
+        assert a.coeffs == ra and b.coeffs == rb
+        c = Fraction(rng.randint(-50, 50), rng.choice([1, 3, -8, 2 ** 65]))
+        results = [(a + b, _ref_add(ra, rb)), (a - b, _ref_add(ra, rb, -1)),
+                   (-a, _ref(-x for x in ra)), (a.scale(c), _ref(x * c for x in ra)),
+                   (poly_gcd(a, b), _ref_gcd(ra, rb))]
+        if ra and rb:
+            results.append((a * b, _ref(_ref_mul(ra, rb))))
+        if rb:
+            q, r = a.divmod(b)
+            q_ref, r_ref = _ref_divmod(ra, rb)
+            results += [(q, _ref(q_ref)), (r, _ref(r_ref))]
+            assert (a * b).exact_div(b) == a
+            seen_const_divisor += len(rb) == 1
+        if ra:
+            lc, m = a.monic()
+            assert lc == a.lc() == ra[-1]
+            results.append((m, _ref(x / ra[-1] for x in ra)))
+        seen_zero += not ra
+        for i in range(-1, len(ra) + 2):
+            assert a.coeff(i, 0) == (ra[i] if 0 <= i < len(ra) else 0)
+        assert a.is_one() == (ra == (Fraction(1),))
+        for got, ref in results:
+            # a value reached by arithmetic equals, and hashes like, the
+            # same value built from its Fractions
+            built = Poly(ref)
+            assert got == built and hash(got) == hash(built)
+            assert got.coeffs == ref
+            assert all(type(x) is Fraction for x in got.coeffs)
+    assert seen_zero and seen_const_divisor
+
+
 def test_poly_gcd_divides_both():
     rng = random.Random(103)
     for _ in range(60):
@@ -479,6 +553,40 @@ def test_int_cap_allows_small_work():
         a = rand_poly(rng, 3)
         b = rand_poly(rng, 3)
         assert (a + b) - b == a
+    finally:
+        set_int_cap(None)
+
+
+def _bottom(*coeffs):
+    return Poly(tuple(Fraction(c) for c in coeffs))
+
+
+_BIG = _bottom(2 ** 40, 1)  # 2^40 + t, built uncapped
+_ONE = _bottom(1)
+
+
+@pytest.mark.parametrize("operands,op,raises", [
+    ((_BIG, _bottom(-2 ** 40)), lambda a, b: a + b, False),
+    ((_BIG, _ONE), lambda a, b: a + b, True),
+    ((_BIG, _bottom(2 ** 40, 2)), lambda a, b: a - b, False),
+    ((_BIG, _ONE), lambda a, b: a - b, True),
+    ((_BIG,), lambda a: a.scale(Fraction(1, 2 ** 20)), False),
+    ((_BIG,), lambda a: a.scale(Fraction(3)), True),
+    # a monic numerator over 1 is inverted without building a polynomial
+    ((RatFunc(_BIG, _ONE, 1),), lambda v: v.inv(), False),
+    ((RatFunc(_BIG.scale(Fraction(1, 3)), _ONE, 1),), lambda v: v.inv(), True),
+    ((_BIG * _bottom(1, 1), _BIG * _bottom(0, 1)), poly_gcd, True),
+    ((_BIG * _bottom(0, 1), _bottom(0, 0, 1)), poly_gcd, False),
+], ids=["add-small", "add", "sub-small", "sub", "scale-small", "scale",
+        "inv-monic", "inv", "gcd", "gcd-small"])
+def test_int_cap_checks_each_result_built(operands, op, raises):
+    set_int_cap(32)
+    try:
+        if raises:
+            with pytest.raises(IntegerLimitError):
+                op(*operands)
+        else:
+            op(*operands)
     finally:
         set_int_cap(None)
 

@@ -91,6 +91,23 @@ def test_false_far_candidate_is_rejected_without_the_shift_sum():
     assert ctx.reps[2] == [T1, q]
 
 
+@pytest.mark.parametrize("k", [1, -1])
+def test_unit_shift_is_confirmed_without_the_difference_test(monkeypatch, k):
+    # S_k is one term at |k| = 1, so the candidate goes straight to sigma^k
+    ctx = ReductionContext(H_TOWER)
+    ctx.classify_den(T1, 2)
+    ctx.first_pair(2)
+    ctx.second_pair(2)
+    q = H_TOWER.sigma_poly(T1, 2, k)
+
+    def no_delta(v):
+        raise AssertionError("delta called at |k| = 1")
+
+    monkeypatch.setattr(H_TOWER, "delta", no_delta)
+    assert shift_equivalence(ctx, T1, q, 2) == k
+    assert ctx.classify_den(q, 2) == ((T1, k, 1),)
+
+
 @pytest.mark.parametrize("tower_file,other", [
     ("harmonic.tower", "t1 + x"),
     ("creative.tower", "t1 + n"),
