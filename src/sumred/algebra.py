@@ -14,21 +14,58 @@ Polynomials are dense, lowest degree first, with no trailing zero. The zero
 polynomial has no coefficients; degree() reports -1 for it (standing in for
 degree minus infinity).
 
-A polynomial with Fraction coefficients (the bottom level, Q[y]) stores
-integers: a tuple of numerators over one positive common denominator,
-normalised so that the numerators' content is coprime to the denominator.
-Two such forms of one polynomial are equal: if c / d = c' / d', then d
-divides d' * content(c'), hence d', and the other way round. So == and hash
-read the stored form, as they read the coefficient tuple of RatFuncs above
-(canonical recursively). Every operation on the bottom level runs on these
-integers: sums bring both sides to the lcm of their denominators, products
-and scalar products multiply plain ints, divisions pseudo-divide them
-(_zpoly_pdivmod scales the running remainder by lc / gcd rather than
-inverting the leading coefficient), and each result is normalised once by
-_zpoly. coeffs, the Fraction tuple that printing, the sort keys and generic
-code read, is built on first read and then kept; results nobody reads never
-build it. A Poly built from Fractions is cleared once (_to_zpoly), which
-already gives the normalised form.
+A Poly is stored in one of three forms, by the depth of its coefficients:
+
+ * Fraction coefficients (the bottom level, Q[x]): a tuple of integer
+   numerators over one positive int denominator, normalised so that the
+   numerators' content is coprime to the denominator.
+ * depth-1 coefficients (Q(x)[t]): a numerator N in Z[x][t], a tuple of
+   Z[x] int tuples (low degree first, () for a zero coefficient), over one
+   denominator D in Z[x], an int tuple. D is coprime over Q[x] to every
+   N_j, lc(D) > 0, and the integer content of N and D together is 1.
+ * deeper coefficients: the tuple of RatFunc values itself.
+
+Both integer forms are unique. At the bottom, if c / d = c' / d', then d
+divides d' * content(c'), hence d', and the other way round. One level up,
+if N / D = N' / D', then D divides N * D' = N' * D coefficientwise over
+Q[x]; as D is coprime to the content of N, D divides D', and the other way
+round, so D' = u D and N' = u N for a rational u; integer content 1 makes u
+= +-1, and lc(D) > 0 makes it 1. So == and hash read the stored form, as
+they read the coefficient tuple of RatFuncs above (canonical recursively).
+
+Every operation on the two integer forms runs on the stored integers, and
+each result is normalised once (_zpoly, _xpoly). At the bottom, sums bring
+both sides to the lcm of their denominators, products multiply plain ints
+and divisions pseudo-divide (_zpoly_pdivmod scales the running remainder by
+lc / gcd rather than inverting the leading coefficient). One level up each
+operation has its own cancellation rule, so that no full gcd of numerator
+content and denominator is taken where a smaller one suffices:
+
+ * sums (Henrici 1956): with g = gcd(D1, D2), the sum is
+   N1 * (D2/g) + N2 * (D1/g) over D1 * (D2/g), and only gcd(content, g) can
+   cancel; when D1 = D2 the candidate is D itself;
+ * products: content(N1) is cancelled against D2 and content(N2) against
+   D1, each gcd chain stopping at its first gcd of degree 0; what is left
+   is coprime (Gauss's lemma), so only the integer content remains, and
+   with both D constant nothing but the integer content is checked. A
+   product with 1 is the other factor;
+ * divisions pseudo-divide over Z[x] (_xpdivmod) and cancel the quotient
+   and the remainder against s * D1;
+ * monic divides by the top numerator, against which only the content of
+   N can cancel;
+ * sigma (taylor_shift) shifts the integers: an integer Taylor shift
+   p(t + a) at the bottom, and at the level above
+   sum N_j(x + c) (B t + A)^j B^(n - j) / (D(x + c) B^n) with t + A / B the
+   image of t and x + c that of x (c = 0 when x is a parameter), where a
+   factor can cancel only if it divides both B and N_n.
+
+coeffs, the Fraction or RatFunc tuple that printing, the sort keys and
+generic code read, is built on first read and then kept; results nobody
+reads never build it. poly_sort_key and value_sort_key read this view, so
+the order of factors and components, and with it every printed result, is
+the same in every form. A Poly built from Fractions is cleared once
+(_to_zpoly), which already gives the normalised form; one built from depth-1
+values is summed term by term (_to_xpoly).
 
 RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) it forms
 n1 * (d2/g) + n2 * (d1/g) over d1 * (d2/g), and only gcd(num, g) can cancel,
@@ -48,22 +85,25 @@ poly_gcd picks its method by coefficient depth. Fraction coefficients take an
 integer primitive PRS (_qpoly_gcd) on the stored numerators. RatFunc
 coefficients of depth c >= 1 are cleared of denominators into
 ZZ[y_1..y_c, t] and take one gcd over ZZ (sympy's dmp_gcd: heuristic gcd,
-PRS fallback); Euclid over Q(y_1)..(y_c)[t]
-would swell its coefficients. By Gauss's lemma the ZZ gcd differs from the
-field gcd by a unit of the field below, so dividing by its leading
-coefficient gives the monic gcd, and each coefficient is rebuilt in
-canonical form from a numerator/denominator pair cancelled over ZZ.
+PRS fallback); Euclid over Q(y_1)..(y_c)[t] would swell its coefficients.
+By Gauss's lemma the ZZ gcd differs from the field gcd by a unit of the
+field below, so dividing by its leading coefficient gives the monic gcd,
+and each coefficient is rebuilt in canonical form from a
+numerator/denominator pair cancelled over ZZ.
 
 The ZZ images are built by _zz_poly and turned back into monic polynomials
-over the field below by _monic_from_zz. sigmafactor factors denominators
-through the same pair: it hands the image to sympy's dmp_factor_list and
-rebuilds each factor, so it never reads the image format itself.
+over the field below by _monic_from_zz. At c = 1 the image is the stored
+N itself and the way back is one _xpoly; no coefficient view is built.
+sigmafactor factors denominators through the same pair: it hands the image
+to sympy's dmp_factor_list and rebuilds each factor, so it never reads the
+image format itself.
 
-The optional integer cap (SUMRED_MAX_INT_BITS) is checked on the reduced
-Fraction coefficients of every Poly built, so it covers returned values; it
-costs one test per Poly when unset. The integers inside the bottom-level
-kernels and the gcd computations (the pseudo-remainders, _qpoly_gcd and the
-ZZ images) are not checked.
+The optional integer cap (SUMRED_MAX_INT_BITS) is checked on every Poly
+built, so it covers returned values: on the reduced Fraction coefficients at
+the bottom, and on every integer of N and D one level up. It costs one test
+per Poly when unset. The integers inside the kernels and the gcd
+computations (the pseudo-remainders, _qpoly_gcd, the cancellation chains
+and the ZZ images) are not checked.
 """
 
 from __future__ import annotations
@@ -109,17 +149,23 @@ def _guard(n, d):
     """Raise IntegerLimitError when the reduced n / d is over the cap."""
     g = math.gcd(n, d)
     if (n // g).bit_length() > _INT_CAP or (d // g).bit_length() > _INT_CAP:
-        raise IntegerLimitError(
-            f"integer exceeds configured cap of {_INT_CAP} bits")
+        raise _over_cap()
+
+
+def _over_cap():
+    return IntegerLimitError(
+        f"integer exceeds configured cap of {_INT_CAP} bits")
 
 
 class Poly:
     """Dense univariate polynomial; see the module docstring for conventions.
 
-    _c holds the stored coefficients: integer numerators over the common
-    denominator _d at the bottom level, the RatFunc values themselves above
-    it (where _d is None). coeffs is the coefficient tuple; at the bottom
-    level it is the Fraction view, built on first read.
+    _c holds the stored coefficients and _d their common denominator:
+    integer numerators over an int _d at the bottom level, Z[x] numerators
+    (int tuples) over a Z[x] tuple _d for coefficients of depth 1, and the
+    RatFunc values themselves above that (where _d is None). coeffs is the
+    coefficient tuple; for the two integer forms it is a view built on
+    first read.
     """
 
     __slots__ = ("_c", "_d", "coeffs")
@@ -136,21 +182,29 @@ class Poly:
                 for c in coeffs:
                     _guard(c.numerator, c.denominator)
             return
+        if n and coeffs[0].depth == 1:
+            p = _to_xpoly(coeffs[:n])
+            self._c, self._d = p._c, p._d
+            return
         self.coeffs = self._c = coeffs[:n]
         self._d = None if n else 1
 
     def __getattr__(self, name):
-        # only the Fraction view of a bottom-level Poly is ever unset
+        # only the view of an integer-stored Poly is ever unset
         if name != "coeffs":
             raise AttributeError(name)
-        d = self._d
-        view = tuple([Fraction(n, d) for n in self._c])
+        c, d = self._c, self._d
+        if d.__class__ is int:
+            view = tuple([Fraction(n, d) for n in c])
+        else:
+            view = tuple([_xval(n, d) for n in c])
         self.coeffs = view
         return view
 
     def as_integers(self):
         """(numerators, denominator) with self = numerators / denominator,
-        for Fraction coefficients; the form is normalised as stored."""
+        for coefficients of depth 0 (ints over an int) or 1 (Z[x] int
+        tuples over one); the form is normalised as stored."""
         return self._c, self._d
 
     # -- inspection ------------------------------------------------------
@@ -165,12 +219,12 @@ class Poly:
         a = self._c
         if not a:
             raise ValueError("zero polynomial has no leading coefficient")
-        return a[-1] if self._d is None else Fraction(a[-1], self._d)
+        return _read(a[-1], self._d)
 
     def coeff(self, i, depth_below=None):
         a = self._c
         if 0 <= i < len(a):
-            return a[i] if self._d is None else Fraction(a[i], self._d)
+            return _read(a[i], self._d)
         if depth_below is None:
             if not a:
                 raise ValueError("coefficient depth unknown for zero Poly")
@@ -198,34 +252,34 @@ class Poly:
         if not a:
             return -other if subtract else other
         d = self._d
+        if d is None:
+            out = list(a) + [zero_at(a[0].depth)] * (len(b) - len(a))
+            for i, c in enumerate(b):
+                out[i] = out[i] - c if subtract else out[i] + c
+            return Poly(out)
+        if d.__class__ is tuple:
+            return _xsum(a, d, b, other._d, subtract)
         if d != other._d:
             # numerators over the lcm of the two denominators
             g = math.gcd(d, other._d)
             ma, mb = other._d // g, d // g
             a, b, d = [x * ma for x in a], [y * mb for y in b], d * ma
-        out = list(a)
-        if len(out) < len(b):
-            zero = 0 if d is not None else zero_at(a[0].depth)
-            out += [zero] * (len(b) - len(out))
-        if subtract:
-            for i, c in enumerate(b):
-                out[i] -= c
-        else:
-            for i, c in enumerate(b):
-                out[i] += c
-        return Poly(out) if d is None else _zpoly(out, d)
+        return _zpoly(_zadd(a, b, subtract), d)
 
     def __neg__(self):
-        a = self._c
-        if self._d is None:
+        a, d = self._c, self._d
+        if d is None:
             return Poly(tuple(-c for c in a))
-        return _zp(tuple([-x for x in a]), self._d)
+        if d.__class__ is int:
+            return _zp(tuple([-x for x in a]), d)
+        return _xp(tuple([tuple([-v for v in x]) for x in a]), d)
 
     def __mul__(self, other):
         a, b = self._c, other._c
         if not a or not b:
             return _P_ZERO
-        if self._d is None:
+        d = self._d
+        if d is None:
             if len(a) == 1:
                 c = a[0]
                 return Poly(tuple(c * x for x in b))
@@ -239,18 +293,14 @@ class Poly:
                 for j, cb in enumerate(b):
                     out[i + j] = out[i + j] + ca * cb
             return Poly(out)
-        d = self._d * other._d
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            c = b[0]
-            return _zpoly([x * c for x in a], d)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _zpoly(out, d)
+        if d.__class__ is tuple:
+            e = other._d
+            if len(b) == 1 and b[0] == e:
+                return self
+            if len(a) == 1 and a[0] == d:
+                return other
+            return _xmul(a, d, b, e)
+        return _zpoly(_zmul(a, b), d * other._d)
 
     def scale(self, c):
         """Multiply by a scalar of the coefficient depth."""
@@ -259,10 +309,14 @@ class Poly:
             return self
         if _is_zero_val(c):
             return _P_ZERO
-        if self._d is None:
+        d = self._d
+        if d is None:
             return Poly(tuple(x * c for x in a))
-        n = c.numerator
-        return _zpoly([x * n for x in a], self._d * c.denominator)
+        if d.__class__ is int:
+            n = c.numerator
+            return _zpoly([x * n for x in a], d * c.denominator)
+        u, v = _xpair(c)
+        return _xmul(a, d, (u,), v)
 
     def __pow__(self, n):
         if n < 0:
@@ -283,12 +337,20 @@ class Poly:
         db = len(b) - 1
         if len(self._c) - 1 < db:
             return _P_ZERO, self
-        if other._d is not None:
+        d = other._d
+        if d.__class__ is int:
             # pseudo-division s * A = Q * B + R of the numerators gives
             # q = Q * db / (s * da) and r = R / (s * da)
             q, r, s = _zpoly_pdivmod(self._c, b)
             s *= self._d
-            return _zpoly([c * other._d for c in q], s), _zpoly(r, s)
+            return _zpoly([c * d for c in q], s), _zpoly(r, s)
+        if d is not None:
+            # the same over Z[x]: s is a polynomial, and the quotient and
+            # remainder are cancelled against s * da
+            q, r, s = _xpdivmod(self._c, b)
+            s = _zmul(s, self._d)
+            return (_xpoly([_zmul(c, d) for c in q], s, s),
+                    _xpoly(r, s, s))
         a = list(self._c)
         inv_lc = _inv_val(b[-1])
         q = [zero_at(b[-1].depth)] * (len(a) - db)
@@ -313,12 +375,19 @@ class Poly:
 
     def monic(self):
         """Return (leading coefficient, self made monic)."""
+        a, d = self._c, self._d
+        if d.__class__ is tuple:
+            top = a[-1]
+            if top == d:
+                return one_at(1), self
+            # the numerators over the old top: only their content can cancel
+            return _xval(top, d), _xpoly([list(x) for x in a], top, top)
         c = self.lc()
         if _is_one_val(c):
             return c, self
-        if self._d is None:
+        if d is None:
             return c, self.scale(_inv_val(c))
-        return c, _zpoly(list(self._c), self._c[-1])
+        return c, _zpoly(list(a), a[-1])
 
     def eval(self, point):
         """Horner evaluation at a value of the coefficient depth."""
@@ -342,6 +411,13 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
+
+
+def _read(n, d):
+    """The stored coefficient n over the denominator d as a value."""
+    if d is None:
+        return n
+    return Fraction(n, d) if d.__class__ is int else _xval(n, d)
 
 
 def _zp(c, d):
@@ -373,13 +449,182 @@ def _zpoly(c, d):
     return _zp(tuple(c), d)
 
 
+def _xp(c, d):
+    """The Poly c / d for a tuple c of Z[x] int tuples and a Z[x] int tuple
+    d, already in stored form."""
+    p = Poly.__new__(Poly)
+    p._c, p._d = c, d
+    if _INT_CAP is not None and any(
+            n.bit_length() > _INT_CAP for x in (d,) + c for n in x):
+        raise _over_cap()
+    return p
+
+
+def _xpoly(c, d, cand=None):
+    """The Poly c / d for a list c of Z[x] sequences and a Z[x] sequence
+    d != 0 (each without trailing zeros), normalised: no trailing zero,
+    d coprime over Q[x] to the content of c, lc(d) > 0 and the integer
+    content of c and d together 1.
+
+    cand, when given, divides d and is a multiple of gcd(d, content of c),
+    so that cancelling gcd(cand, content) suffices. Without it only the
+    integer content is removed. Lists in c may be consumed.
+    """
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    if not n:
+        return _P_ZERO
+    del c[n:]
+    if cand is not None and len(cand) > 1:
+        c, d = _xcancel(c, d, cand)
+    if d[-1] < 0:
+        d = [-v for v in d]
+        c = [[-v for v in x] for x in c]
+    g = math.gcd(*d)
+    if g != 1:
+        for x in c:
+            g = math.gcd(g, *x)
+            if g == 1:
+                break
+        else:
+            d = [v // g for v in d]
+            c = [[v // g for v in x] for x in c]
+    return _xp(tuple([tuple(x) for x in c]), tuple(d))
+
+
+def _xcancel(c, d, cand):
+    """(c / g, d / g) for g = gcd(cand, content of c) over Q[x], taken
+    primitive; cand has degree >= 1 and g divides d. The gcd chain runs
+    from the lowest-degree coefficient up and stops at the first gcd of
+    degree 0."""
+    g = cand
+    for x in sorted(filter(None, c), key=len):
+        if len(x) == 1:
+            return c, d
+        g = _zpoly_gcd(g, x)
+        if len(g) == 1:
+            return c, d
+    return [_zexquo(x, g) if x else [] for x in c], _zexquo(d, g)
+
+
+def _xsum(a, d1, b, d2, subtract):
+    """The Poly a / d1 + b / d2 (minus when subtract) for canonical inputs.
+
+    Gcd-first (Henrici): over d1 * (d2 / g) with g = gcd(d1, d2), only
+    gcd(g, content) can cancel; with d1 = d2 that is gcd(d1, content).
+    """
+    if d1 == d2:
+        d = cand = d1
+    else:
+        if len(d1) > 1 and len(d2) > 1:
+            g = _zpoly_gcd(d1, d2)
+        elif len(d1) == 1 and len(d2) == 1:
+            g = [math.gcd(d1[0], d2[0])]
+        else:
+            g = [1]
+        cand = g
+        if g != [1]:
+            m1, m2 = _zexquo(d2, g), _zexquo(d1, g)
+        else:
+            m1, m2 = d2, d1
+        a = [_zmul(x, m1) for x in a]
+        b = [_zmul(y, m2) for y in b]
+        d = _zmul(d1, m1)
+    la, lb = len(a), len(b)
+    out = []
+    for i in range(max(la, lb)):
+        x = a[i] if i < la else ()
+        y = b[i] if i < lb else ()
+        out.append(_zadd(x, y, subtract) if y else list(x))
+    return _xpoly(out, d, cand)
+
+
+def _xmul(a, d1, b, d2):
+    """The Poly (a / d1) * (b / d2) for canonical inputs.
+
+    The content of a is cancelled against d2 and that of b against d1
+    (Henrici); what is left is coprime over Q[x] by Gauss's lemma, so only
+    the integer content of the product remains to be removed.
+    """
+    if len(d2) > 1:
+        a, d2 = _xcancel(a, d2, d2)
+    if len(d1) > 1:
+        b, d1 = _xcancel(b, d1, d1)
+    if len(a) < len(b):
+        a, b = b, a
+    return _xpoly(_xconv(a, b), _zmul(d1, d2))
+
+
+def _xconv(a, b):
+    """The product of two nonzero Z[x][t] sequences (Z[x] sequences low
+    first, [] or () for zero)."""
+    if len(b) == 1:
+        y = b[0]
+        return [_zmul(x, y) for x in a]
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    _zmuladd(out[i + j], x, y)
+    for x in out:
+        while x and not x[-1]:
+            x.pop()
+    return out
+
+
+def _xpdivmod(a, b):
+    """Pseudo-division over Z[x] of Z[x] coefficient sequences (low first).
+
+    Returns (q, r, s) with s * a = q * b + r, s over Z[x] and
+    len(r) = len(b) - 1 (r may end in zeros). As _zpoly_pdivmod, but each
+    step scales by m = lc(b) / gcd(lc(b), lead) over Z[x].
+    """
+    r = [list(x) for x in a]
+    n = len(b) - 1
+    lb = b[-1]
+    q = [[] for _ in range(len(r) - n)]
+    s = [1]
+    for i in range(len(r) - 1, n - 1, -1):
+        lead = r[i]
+        if not lead:
+            continue
+        if len(lb) == 1:
+            g = math.gcd(lb[0], *lead)
+            m, c = [lb[0] // g], [v // g for v in lead]
+        elif len(lead) == 1:
+            m, c = lb, lead
+        else:
+            g = _zpoly_gcd(lead, lb)
+            m, c = _zexquo(lb, g), _zexquo(lead, g)
+        k = i - n
+        if m != [1]:
+            s = _zmul(s, m)
+            for j in range(i):
+                if r[j]:
+                    r[j] = _zmul(r[j], m)
+            for j in range(k + 1, len(q)):
+                if q[j]:
+                    q[j] = _zmul(q[j], m)
+        for j in range(n):
+            if b[j]:
+                r[k + j] = _zadd(r[k + j], _zmul(c, b[j]), True)
+        q[k] = list(c)
+    return q, r[:n], s
+
+
 _P_ZERO = Poly(())
 _P_ONE = _zp((1,), 1)
+_X_ONE = _xp(((1,),), (1,))
 
 
 def _coeff_depth(p):
     """The depth of the coefficients of p (0 for the zero Poly)."""
-    return 0 if p._d is not None else p._c[0].depth
+    d = p._d
+    if d is None:
+        return p._c[0].depth
+    return 0 if d.__class__ is int else 1
 
 
 def _const_poly(v):
@@ -577,7 +822,9 @@ def one_at(depth):
 
 
 def _one_poly(coeff_depth):
-    return _P_ONE if coeff_depth == 0 else Poly((one_at(coeff_depth),))
+    if coeff_depth <= 1:
+        return _X_ONE if coeff_depth else _P_ONE
+    return Poly((one_at(coeff_depth),))
 
 
 def frac_at(fr, depth):
@@ -734,6 +981,9 @@ def _zz_poly(p, c):
     """
     if c == 0:
         return [ZZ(x) for x in reversed(p._c)], ZZ(p._d)
+    if c == 1:
+        return ([[ZZ(v) for v in reversed(x)] for x in reversed(p._c)],
+                [ZZ(v) for v in reversed(p._d)])
     pairs = [_zz_value(x, c) for x in reversed(p._c)]
     u = c - 1
     den = pairs[0][1]
@@ -772,6 +1022,10 @@ def _poly_from_zz(f, lead, c):
     lead != 0 over ZZ[y_1..y_c]."""
     if c == 0:
         return _zpoly([int(x) for x in reversed(f)], int(lead))
+    if c == 1:
+        d = [int(v) for v in reversed(lead)]
+        return _xpoly([[int(v) for v in reversed(x)] for x in reversed(f)],
+                      d, d)
     return Poly(tuple(_from_zz(x, lead, c) for x in reversed(f)))
 
 
@@ -865,6 +1119,162 @@ def _zpoly_gcd(a, b):
         if len(r) == 1:
             return [1]
         a, b = b, _zpoly_primitive(r)
+
+
+def _zmul(a, b):
+    """The product of two Z[x] sequences (low first; [] for zero)."""
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        c = a[0]
+        return [c * y for y in b]
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
+    out = []
+    _zmuladd(out, a, b)
+    return out
+
+
+def _zmuladd(acc, a, b):
+    """acc += a * b in place, for nonzero Z[x] sequences; acc may end in
+    zeros afterwards."""
+    need = len(a) + len(b) - 1
+    if len(acc) < need:
+        acc += [0] * (need - len(acc))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
+
+
+def _zadd(a, b, subtract=False):
+    """a + b (a - b when subtract) of Z[x] sequences, without trailing
+    zeros."""
+    out = list(a)
+    if len(out) < len(b):
+        out += [0] * (len(b) - len(out))
+    if subtract:
+        for i, y in enumerate(b):
+            out[i] -= y
+    else:
+        for i, y in enumerate(b):
+            out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zexquo(a, b):
+    """a / b for Z[x] sequences where b divides a with a quotient over Z
+    (b primitive, or a constant dividing every coefficient)."""
+    if len(b) == 1:
+        c = b[0]
+        return [x // c for x in a]
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(r) - n)
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r[i]
+        if c:
+            c //= lb
+            q[i - n] = c
+            for j in range(n):
+                r[i - n + j] -= c * b[j]
+    return q
+
+
+def _ztaylor(a, u, q, m):
+    """The integers of q^m * a(x + u / q), for a nonzero Z[x] sequence a
+    with deg a <= m.
+
+    With h(y) = sum a_j q^(m - j) y^j this is h(q x + u): a Taylor shift of
+    h by the integer u (repeated synthetic division), then x scaled by q.
+    """
+    n = len(a) - 1
+    c = list(a) if q == 1 else [v * q ** (m - j) for j, v in enumerate(a)]
+    if u:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += u * c[j + 1]
+    if q != 1:
+        c = [v * q ** j for j, v in enumerate(c)]
+    return c
+
+
+def _xpair(v):
+    """(U, V) over Z[x] with the nonzero depth-1 value v = U / V, coprime
+    over Q[x]."""
+    num, den = v.num, v.den
+    if len(den._c) == 1:
+        return num._c, (num._d,)
+    return (tuple([x * den._d for x in num._c]),
+            tuple([y * num._d for y in den._c]))
+
+
+def _xval(n, d):
+    """The canonical depth-1 value n / d for Z[x] sequences n and d != 0."""
+    if not n:
+        return zero_at(1)
+    if len(d) > 1 and len(n) > 1:
+        g = _zpoly_gcd(n, d)
+        if len(g) > 1:
+            n, d = _zexquo(n, g), _zexquo(d, g)
+    lead = d[-1]
+    den = _P_ONE if len(d) == 1 else _zpoly(list(d), lead)
+    return RatFunc(_zpoly(list(n), lead), den, 1, _trusted=True)
+
+
+def _to_xpoly(coeffs):
+    """The Poly with the given depth-1 coefficients, as a sum of terms."""
+    out = _P_ZERO
+    for j, v in enumerate(coeffs):
+        if v.num._c:
+            u, w = _xpair(v)
+            out = out + _xpoly([()] * j + [list(u)], w)
+    return out
+
+
+def taylor_shift(p, s, inner=None):
+    """p(t + s), for p with coefficients of depth 0 or 1 and s a value of
+    that depth, on the stored integers.
+
+    With inner, a Fraction, the variable x of depth-1 coefficients goes to
+    x + inner as well. Over p = N / D that is
+    sum N_j(x + inner) (B t + A)^j B^(n - j) / (D(x + inner) B^n) with
+    s = A / B, taken by Horner in t. A factor of the result's numerator
+    content and denominator divides B (away from B the substitution is
+    invertible) and the top numerator N_n (modulo such a factor the sum
+    is N_n A^n), so when gcd(N_n, B) = 1 nothing cancels over Q[x].
+    """
+    a, d = p._c, p._d
+    if d.__class__ is int:
+        u, q = s.numerator, s.denominator
+        n = len(a) - 1
+        return _zpoly(_ztaylor(a, u, q, n), d * q ** n)
+    if inner:
+        u, q = inner.numerator, inner.denominator
+        m = max(len(x) for x in a + (d,)) - 1
+        a = [_ztaylor(x, u, q, m) if x else [] for x in a]
+        d = _ztaylor(d, u, q, m)
+    n = len(a) - 1
+    if _is_zero_val(s):
+        return _xpoly([list(x) for x in a], d)
+    sa, sb = _xpair(s)
+    out = [list(a[n])]
+    bpow = [1]
+    for j in range(n - 1, -1, -1):
+        # out * (B t + A) + N_j B^(n - j)
+        bpow = _zmul(bpow, sb)
+        out = _xconv(out, (sa, sb))
+        if a[j]:
+            out[0] = _zadd(out[0], _zmul(a[j], bpow))
+    d = _zmul(d, bpow)
+    top = a[n]
+    if len(sb) > 1 and len(top) > 1 and len(_zpoly_gcd(top, sb)) > 1:
+        return _xpoly(out, d, d)
+    return _xpoly(out, d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ tower, for every context on it:
  * the level data: each increment's reduction pair, the pivot coordinate
    of its residue and the echelon rows. These are computed in the tower's
    seed context, which is handed the tower's own data only, never an
-   input, and they are shared while its representative lists are still
-   the seed lists. That is exact: every context's lists start with the
+   input, and they are shared, with the reductions that seed context
+   memoised on the way, while its representative lists are still the
+   seed lists. That is exact: every context's lists start with the
    same seeds in the same order and a class has one representative, so a
    computation that met only seeded classes classifies every factor the
    same way in any context. Once a lookup meets an unseeded class (an
@@ -78,8 +79,8 @@ class ReductionContext:
     """Session state for reductions over one tower.
 
     Per context: reps, notes, the classification cache and the memo. Per
-    tower: factorizations, and the first pairs, second pairs and echelon
-    rows of the tower's seed context while that context has met seeded
+    tower: factorizations, and the first pairs, second pairs, echelon rows
+    and memo of the tower's seed context while that context has met seeded
     classes only (see the module docstring for why that is exact).
     """
 
@@ -323,6 +324,10 @@ def reduce_polynomial(ctx, p, depth):
 # ---------------------------------------------------------------------------
 
 
+def _seed_memo(seed, f, depth):
+    return seed._memo.get(depth, {}).get(f)
+
+
 def complete_reduction(ctx, f, depth=None):
     """Split f into (g, r): f = shift(g) - g + r with r canonical.
 
@@ -336,6 +341,8 @@ def complete_reduction(ctx, f, depth=None):
         return (zero_at(vdepth(f)), f)
     table = ctx.memo(depth)
     hit = table.get(f)
+    if hit is None:
+        hit = ctx._from_seeds(_seed_memo, f, depth)
     if hit is not None:
         return hit
     poly, proper = ctx.tower.split_poly_proper(f)

@@ -280,20 +280,36 @@ def _eval_at(v, vals):
             raise _Pole
         if p.is_zero():
             return 0, 1
+        below = vals.get(depth - 1)
         if depth == 1:
             # Fraction coefficients: their numerators over one denominator
             nums, den = p.as_integers()
+        elif depth == 2 and below is not None:
+            # Z[x] numerators over one Z[x] denominator, each taken at x
+            cs, ds = p.as_integers()
+            dn, dw = hom(ds, below)
+            if not dn:
+                raise _Pole
+            pairs = [hom(c, below) if c else (0, 1) for c in cs]
+            top = max(w for _n, w in pairs)  # powers of one denominator
+            nums = [n * (top // w) * dw for n, w in pairs]
+            den = dn * top
         else:
             pairs = [val(c, depth - 1) for c in p.coeffs]
             den = math.lcm(*(d for _n, d in pairs))
             nums = [n * (den // d) for n, d in pairs]
+        acc, w = hom(nums, point)
+        return acc, den * w
+
+    def hom(nums, point):
+        # (y^deg * p(x / y), y^deg) for point = x / y, Horner on
+        # homogenised integers
         x, y = point.numerator, point.denominator
-        # den * y^deg * p(x / y), Horner on homogenised integers
         acc, w = nums[-1], 1
         for n in reversed(nums[:-1]):
             w *= y
             acc = acc * x + n * w
-        return acc, den * w
+        return acc, w
 
     n, d = val(v, vdepth(v))
     return Fraction(n, d)

@@ -10,10 +10,16 @@ nparams + i lives in C(t_1, ..., t_i).
 The k-fold shift is one substitution at every level: sigma^k(t_i) =
 t_i + S_k, where S_k is the sum of sigma^j(a_i) over 0 <= j < k (for k < 0,
 minus the sum over k <= j < 0), so sigma^k(sum c_j t_i^j) is the sum of
-sigma^k(c_j) (t_i + S_k)^j. The powers of t_i + S_k are cached per level
-and k. At level 1 the increment and the coefficients lie in C, which the
-shift fixes, so there S_k = k*a_1 in closed form and the coefficients are
-used as they are.
+sigma^k(c_j) (t_i + S_k)^j. At level 1 the increment and the coefficients
+lie in C, which the shift fixes, so there S_k = k*a_1 in closed form and the
+coefficients are used as they are. Sums S_k above level 1 are cached per
+level and k.
+
+Polynomials whose coefficients are stored as integers (depth 1 and 2, see
+the algebra module) are shifted on those integers in one call
+(taylor_shift): at depth 2 over Q that also moves x to x + k*a_1 inside
+the coefficients. Deeper polynomials take the sum above, with the powers of
+t_i + S_k cached per level and k.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .algebra import (
     lift,
     lower,
     one_at,
+    taylor_shift,
     vdepth,
     zero_at,
 )
@@ -99,6 +106,7 @@ class TowerSpec:
         for i, gen in enumerate(self.gens):
             self._by_name[gen.name] = self.nparams + i + 1
         self._pows = {}
+        self._sums = {}
         # what reduction's contexts share over this tower (factorizations
         # and the seed context), set by the first context made on it
         self._reduction = None
@@ -163,6 +171,12 @@ class TowerSpec:
         """Shift a polynomial in the depth-level variable, coefficients below."""
         if k == 0 or p.is_zero() or depth <= self.nparams:
             return p
+        if depth <= 2:
+            # integer-stored coefficients: one Taylor shift on the integers,
+            # with x -> x + k a_1 inside them at level 2 over Q
+            inner = self.gens[0].delta * k if depth == self.nparams + 2 \
+                else None
+            return taylor_shift(p, self._shift_sum(depth, k), inner)
         coeffs = p.coeffs
         if depth - 1 > self.nparams:
             coeffs = [self.sigma(c, k) for c in coeffs]
@@ -189,10 +203,14 @@ class TowerSpec:
         return pows
 
     def _shift_sum(self, depth, k):
-        """S_k with sigma^k(t) = t + S_k for the depth-level variable t."""
+        """S_k with sigma^k(t) = t + S_k for the depth-level variable t,
+        cached above level 1."""
         a = self.gens[depth - self.nparams - 1].delta
         if depth - 1 <= self.nparams:
             return a * k
+        total = self._sums.get((depth, k))
+        if total is not None:
+            return total
         # k < 0 sums the terms -sigma^j(a) for j = -1 down to k
         step = 1 if k > 0 else -1
         term = a if k > 0 else -self.sigma(a, -1)
@@ -200,6 +218,7 @@ class TowerSpec:
         for _ in range(abs(k) - 1):
             term = self.sigma(term, step)
             total = total + term
+        self._sums[(depth, k)] = total
         return total
 
     def delta(self, v):

@@ -536,6 +536,158 @@ def test_padic_expand_reconstructs():
         assert acc == a
 
 
+# -- polynomials over Q(y): Z[y] numerators over one Z[y] denominator ------
+
+# field name -> (tower whose depth-1 variable is y, name of y)
+_XFIELDS = {"Q(x)": (H_TOWER, "x"), "Q(n)": (P_TOWER, "n")}
+
+
+def _bottom(*coeffs):
+    return Poly(tuple(Fraction(c) for c in coeffs))
+
+
+# coefficient denominators in y: constants, coprime linear and quadratic
+# factors, and products sharing a factor
+_YDENS = (_bottom(1), _bottom(3), _bottom(1, 1), _bottom(-2, 1),
+          _bottom(1, 0, 1), _bottom(3, 2), _bottom(0, 1, 1), _bottom(1, 2, 1))
+
+
+def _rand_t_poly(rng, kind, deg):
+    """A Poly in t over Q(y) of degree <= deg, its coefficients over one
+    shared denominator, pairwise coprime ones, constants only, or a mix,
+    with some coefficients zero."""
+    shared = rng.choice(_YDENS)
+    coeffs = []
+    for _ in range(deg + 1):
+        if rng.random() < 0.25:
+            coeffs.append(zero_at(1))
+            continue
+        if kind == "constant":
+            coeffs.append(frac_at(Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 4)), 1))
+            continue
+        den = {"shared": shared, "coprime": _YDENS[2 + len(coeffs) % 4]}.get(
+            kind, rng.choice(_YDENS))
+        num = Poly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3))))
+        coeffs.append(RatFunc(num, den, 1) if not num.is_zero()
+                      else zero_at(1))
+    return Poly(coeffs)
+
+
+def _xring(yname):
+    y = sympy.Symbol(yname)
+    ring, _t = sympy.polys.rings.ring("t", sympy.QQ.frac_field(y))
+    return ring, (y, sympy.Symbol("t"))
+
+
+def _in_ring(ring, syms, p):
+    return ring.from_expr(_poly_to_sympy(p, 2, syms))
+
+
+def _assert_stored_canonical(p, syms):
+    """The stored (N, D) of p: no trailing zeros, lc(D) > 0, integer
+    content 1 and D coprime over Q[y] to the content of N."""
+    if p.is_zero():
+        return
+    nums, den = p.as_integers()
+    assert isinstance(den, tuple) and den[-1] > 0 and nums[-1]
+    assert all(not n or n[-1] for n in nums)
+    assert sympy.igcd(*den, *(v for n in nums for v in n)) == 1
+    y = syms[0]
+    g = sympy.Poly(list(reversed(den)), y)
+    for n in nums:
+        if n:
+            g = sympy.gcd(g, sympy.Poly(list(reversed(n)), y))
+    assert g.degree() == 0
+
+
+@pytest.mark.parametrize("field", _XFIELDS, ids=_XFIELDS)
+def test_polys_over_q_of_y_match_sympy(field):
+    """+ - * neg scale divmod exact_div monic and poly_gcd on the stored
+    integers against sympy's ring Q(y)[t], each result canonical."""
+    _tower, yname = _XFIELDS[field]
+    ring, syms = _xring(yname)
+    rng = random.Random(1101)
+    kinds = ("shared", "coprime", "constant", "mixed")
+    for _ in range(40):
+        a = _rand_t_poly(rng, rng.choice(kinds), rng.randint(0, 4))
+        b = _rand_t_poly(rng, rng.choice(kinds), rng.randint(0, 3))
+        ra, rb = _in_ring(ring, syms, a), _in_ring(ring, syms, b)
+        c = _rand_t_poly(rng, "mixed", 0).coeff(0, 1)
+        rc = _in_ring(ring, syms, Poly((c,)))
+        results = [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                   (-a, -ra), (a.scale(c), ra * rc),
+                   # one denominator, which the sum cancels
+                   (a.scale(c) + a.scale(one_at(1) - c), ra)]
+        if not b.is_zero():
+            q, r = a.divmod(b)
+            rq, rr = divmod(ra, rb)
+            results += [(q, rq), (r, rr), ((a * b).exact_div(b), ra),
+                        (b.monic()[1], rb.monic()),
+                        (poly_gcd(a * b, b * b),
+                         (ra * rb).gcd(rb * rb).monic())]
+            assert _in_ring(ring, syms, Poly((b.lc(),))) == rb.LC
+        for got, expect in results:
+            _assert_stored_canonical(got, syms)
+            assert _in_ring(ring, syms, got) == expect
+
+
+def _sympy_sigma(tower, yname, expr, k):
+    """sigma^k of an expression in y and t, as sympy substitutions."""
+    y, t = sympy.Symbol(yname), sympy.Symbol("t")
+    if tower.nparams:  # level 1 over Q(n): t -> t + k a_1 with a_1 = 1
+        return expr.subs(t, t + k)
+    # level 2 over Q(x): x -> x + k, t -> t + S_k with a_2 = 1/(x + 1)
+    a = 1 / (y + 1)
+    s_k = (sum(a.subs(y, y + j) for j in range(k)) if k > 0
+           else -sum(a.subs(y, y + j) for j in range(k, 0)))
+    return expr.subs({y: y + k, t: t + s_k}, simultaneous=True)
+
+
+@pytest.mark.parametrize("field", _XFIELDS, ids=_XFIELDS)
+def test_sigma_on_stored_integers_matches_sympy(field):
+    tower, yname = _XFIELDS[field]
+    ring, syms = _xring(yname)
+    rng = random.Random(1102)
+    for k in range(-5, 6):
+        p = _rand_t_poly(rng, rng.choice(("shared", "coprime", "mixed")),
+                        rng.randint(0, 3))
+        got = tower.sigma_poly(p, 2, k)
+        _assert_stored_canonical(got, syms)
+        expect = _sympy_sigma(tower, yname, _poly_to_sympy(p, 2, syms), k)
+        assert _in_ring(ring, syms, got) == ring.from_expr(expect)
+
+
+def test_level_one_sigma_is_a_taylor_shift():
+    rng = random.Random(1103)
+    x = sympy.Symbol("x")
+    for k in range(-5, 6):
+        p = Poly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for _ in range(rng.randint(1, 6))))
+        got = _poly_to_sympy(H_TOWER.sigma_poly(p, 1, k), 1, (x,))
+        expect = _poly_to_sympy(p, 1, (x,)).subs(x, x + k)
+        assert sympy.expand(got - expect) == 0
+
+
+def test_two_build_paths_store_one_form():
+    rng = random.Random(1104)
+    for _ in range(40):
+        p = _rand_t_poly(rng, rng.choice(("shared", "coprime", "mixed")), 3)
+        if p.is_zero():
+            continue
+        by_terms = Poly(())
+        for j, c in enumerate(p.coeffs):
+            by_terms = by_terms + Poly((zero_at(1),) * j + (c,))
+        q = _rand_t_poly(rng, "mixed", 2)
+        paths = [Poly(p.coeffs), by_terms]
+        if not q.is_zero():
+            paths.append((p * q).exact_div(q))
+        for other in paths:
+            assert other == p and hash(other) == hash(p)
+            assert other.as_integers() == p.as_integers()
+
+
 def test_int_cap_errors_instead_of_truncating():
     p = Poly((Fraction(2) ** 20,))
     set_int_cap(32)
@@ -557,12 +709,19 @@ def test_int_cap_allows_small_work():
         set_int_cap(None)
 
 
-def _bottom(*coeffs):
-    return Poly(tuple(Fraction(c) for c in coeffs))
-
-
 _BIG = _bottom(2 ** 40, 1)  # 2^40 + t, built uncapped
 _ONE = _bottom(1)
+
+
+def _in_t(*coeffs):
+    """The Poly in t with the given values over Q(x) (polynomials in x
+    taken as such) as coefficients."""
+    return Poly(tuple(c if isinstance(c, RatFunc) else RatFunc.from_poly(c, 1)
+                      for c in coeffs))
+
+
+_XBIG = _in_t(_bottom(0), _BIG)  # (2^40 + x) t
+_XINV = RatFunc(_ONE, _BIG, 1)  # 1 / (2^40 + x)
 
 
 @pytest.mark.parametrize("operands,op,raises", [
@@ -577,8 +736,17 @@ _ONE = _bottom(1)
     ((RatFunc(_BIG.scale(Fraction(1, 3)), _ONE, 1),), lambda v: v.inv(), True),
     ((_BIG * _bottom(1, 1), _BIG * _bottom(0, 1)), poly_gcd, True),
     ((_BIG * _bottom(0, 1), _bottom(0, 0, 1)), poly_gcd, False),
+    # polynomials in t over Q(x) store their numerators and denominator
+    ((_XBIG, _in_t(_bottom(0), _bottom(-2 ** 40))), lambda a, b: a + b,
+     False),
+    ((_XBIG, _in_t(_ONE)), lambda a, b: a + b, True),
+    ((_XBIG, _in_t(_ONE, _bottom(1, 1))), lambda a, b: a * b, True),
+    ((_XBIG, _in_t(_XINV)), lambda a, b: a * b, False),
+    ((_XBIG, _in_t(_ONE, _ONE)), lambda a, b: a.divmod(b), True),
+    ((_XBIG, _XBIG), lambda a, b: a.divmod(b), False),
 ], ids=["add-small", "add", "sub-small", "sub", "scale-small", "scale",
-        "inv-monic", "inv", "gcd", "gcd-small"])
+        "inv-monic", "inv", "gcd", "gcd-small", "x-add-small", "x-add",
+        "x-mul", "x-mul-small", "x-divmod", "x-divmod-small"])
 def test_int_cap_checks_each_result_built(operands, op, raises):
     set_int_cap(32)
     try:
