@@ -91,6 +91,22 @@ field below, so dividing by its leading coefficient gives the monic gcd,
 and each coefficient is rebuilt in canonical form from a
 numerator/denominator pair cancelled over ZZ.
 
+At c = 1 one integer image comes first (_xgcd_by_image), as in Brown's
+modular gcd and the heuristic gcd of Char, Geddes and Gonnet, and dmp_gcd
+runs only when the image leaves the answer open, which in practice means a
+proper common factor. With deg a >= deg b, the stored numerators A, B in
+Z[y][t] are evaluated at the first y = xi of a fixed tuple of small
+integers where neither leading coefficient in t vanishes, and h is the
+gcd of the two integer images. Let g be the gcd of A and B, primitive in
+Z[y][t]. It divides A, so lc(g) divides lc(A), which is nonzero at xi;
+g(xi, t) therefore keeps its degree and divides both images, and
+deg h >= deg g. So deg h = 0 proves a and b coprime, and deg h = deg b
+with a zero pseudo-remainder of A by B (_xpdivmod) proves b the gcd;
+anything else goes to dmp_gcd. An unlucky xi (a coprime pair whose images
+share a factor) costs only that fallback, and the canonical form makes the
+answer the same on either path. The points are constants, not a choice,
+so every run takes the same path.
+
 The ZZ images are built by _zz_poly and turned back into monic polynomials
 over the field below by _monic_from_zz. At c = 1 the image is the stored
 N itself and the way back is one _xpoly; no coefficient view is built.
@@ -102,8 +118,8 @@ The optional integer cap (SUMRED_MAX_INT_BITS) is checked on every Poly
 built, so it covers returned values: on the reduced Fraction coefficients at
 the bottom, and on every integer of N and D one level up. It costs one test
 per Poly when unset. The integers inside the kernels and the gcd
-computations (the pseudo-remainders, _qpoly_gcd, the cancellation chains
-and the ZZ images) are not checked.
+computations (the pseudo-remainders, _qpoly_gcd, the cancellation chains,
+the ZZ images and the integer images of _xgcd_by_image) are not checked.
 """
 
 from __future__ import annotations
@@ -926,9 +942,14 @@ def poly_gcd(a, b):
     """Monic gcd over the coefficient field.
 
     A nonzero constant operand gives the constant 1 at once. Fraction
-    coefficients take _qpoly_gcd; RatFunc coefficients of depth
-    c >= 1 take one gcd over ZZ[y_1..y_c, t], made monic over the field
-    below (Gauss's lemma; see the module docstring).
+    coefficients take _qpoly_gcd. Depth-1 coefficients first take one
+    integer image at a fixed point y = xi, whose gcd bounds the degree of
+    the true one from above: degree 0 answers 1, and the degree of the
+    smaller operand, when that operand divides the other, answers it made
+    monic. Otherwise, and at every depth c >= 2, the gcd is one dmp_gcd
+    over ZZ[y_1..y_c, t], made monic over the field below (Gauss's lemma;
+    see the module docstring). The image integers are intermediates, which
+    the integer cap does not check.
     """
     if a.is_zero():
         return b.monic()[1] if not b.is_zero() else b
@@ -939,10 +960,53 @@ def poly_gcd(a, b):
         return _one_poly(c)
     if c == 0:
         return _qpoly_gcd(a, b)
+    if c == 1:
+        g = _xgcd_by_image(a, b)
+        if g is not None:
+            return g
     g = dmp_gcd(_zz_poly(a, c)[0], _zz_poly(b, c)[0], c, ZZ)
     if len(g) == 1:
         return _one_poly(c)
     return _monic_from_zz(g, c)
+
+
+# Evaluation points y = xi for _xgcd_by_image, tried in order; fixed, so
+# that every run takes the same path (see the module docstring).
+_IMAGE_POINTS = (11, 13, 17, 19, 23)
+
+
+def _xgcd_by_image(a, b):
+    """The monic gcd of a and b, of degree >= 1 with depth-1 coefficients,
+    when one integer image decides it; None otherwise.
+
+    With deg a >= deg b, both numerators are evaluated at the first point
+    y = xi where neither leading coefficient in t vanishes. A gcd h of the
+    images of degree 0 proves a and b coprime; one of degree deg b together
+    with a zero pseudo-remainder of a by b proves b the gcd (see the module
+    docstring). Any other image decides nothing.
+    """
+    if a.degree() < b.degree():
+        a, b = b, a
+    na, nb = a._c, b._c
+    for xi in _IMAGE_POINTS:
+        if _zeval(na[-1], xi) and _zeval(nb[-1], xi):
+            break
+    else:
+        return None
+    h = _zpoly_gcd([_zeval(x, xi) for x in na], [_zeval(x, xi) for x in nb])
+    if len(h) == 1:
+        return _X_ONE
+    if len(h) == len(nb) and not any(_xpdivmod(na, nb)[1]):
+        return b.monic()[1]
+    return None
+
+
+def _zeval(x, xi):
+    """The integer x(xi) of a Z[x] sequence x, by Horner."""
+    v = 0
+    for c in reversed(x):
+        v = v * xi + c
+    return v
 
 
 def poly_xgcd(a, b):

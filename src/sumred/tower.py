@@ -233,6 +233,8 @@ class TowerSpec:
 
     def split_poly_proper(self, v):
         """v = polynomial part + proper part at its own depth."""
+        if v.den.is_one():
+            return v.num, zero_at(v.depth)
         q, r = v.num.divmod(v.den)
         proper = RatFunc(r, v.den, v.depth, _trusted=True)
         return q, proper

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.euclidtools import dmp_gcd
 
+from sumred import algebra
 from sumred.algebra import (Poly, RatFunc, coprime_split, drop, frac_at,
                             lift, lower, modular_residue, one_at,
                             padic_expand, poly_gcd, poly_xgcd, set_int_cap,
@@ -213,35 +215,57 @@ def test_poly_gcd_divides_both():
         assert g.lc() == Fraction(1)
 
 
-# field name -> (tower, pool of coefficient texts)
+# field name -> (tower, variable y below the top, top variable t, pool of
+# coefficient texts)
 _GCD_FIELDS = {
-    "Q(x)[t1]": (H_TOWER, ("1", "x", "1/x", "x+2", "(x-1)/(x+3)",
-                           "2/(x^2+1)")),
-    "Q(x)(t1)[t2]": (N_TOWER, ("1", "x", "t1", "1/(t1+x)", "(x*t1-1)/(t1+1)",
-                               "t1^2/x")),
-    "Q(n)(x)[t1]": (P_TOWER, ("1", "n", "x", "1/(x+n)", "(n*x-1)/(x+2)",
-                              "n/(x^2-n)")),
+    "Q(x)[t1]": (H_TOWER, "x", "t1", ("1", "x", "1/x", "x+2", "(x-1)/(x+3)",
+                                      "2/(x^2+1)")),
+    "Q(x)(t1)[t2]": (N_TOWER, "t1", "t2", ("1", "x", "t1", "1/(t1+x)",
+                                           "(x*t1-1)/(t1+1)", "t1^2/x")),
+    "Q(n)(x)[t1]": (P_TOWER, "x", "t1", ("1", "n", "x", "1/(x+n)",
+                                         "(n*x-1)/(x+2)", "n/(x^2-n)")),
+    "Q(n)[x]": (P_TOWER, "n", "x", ("1", "n", "1/n", "n+2", "(n-1)/(n+3)",
+                                    "2/(n^2+1)")),
 }
 
+# the image gcd's points: the first, and a polynomial in y vanishing at all
+_XI = algebra._IMAGE_POINTS[0]
+_AT_ALL_POINTS = "*".join(f"({{y}}-{p})" for p in algebra._IMAGE_POINTS)
 
-@pytest.mark.parametrize("tower,pool", _GCD_FIELDS.values(),
+# fixed pairs (texts in y and t) that the depth-1 image gcd decides from its
+# image or sends on to dmp_gcd
+_GCD_HARD_PAIRS = (
+    # coprime, but the images coincide at the first point
+    ("{t} - {y}", f"{{t}} - {_XI}"),
+    # both leading coefficients vanish at every point
+    (f"{_AT_ALL_POINTS}*{{t}}^2 + {{t}} + 1", f"{_AT_ALL_POINTS}*{{t}} + {{y}}"),
+    # proportional, and equal
+    ("({y}+1)*({t}^2 + {y}*{t} + 1)", "(2/({y}-1))*({t}^2 + {y}*{t} + 1)"),
+    ("{t}^2 + {y}*{t} + 1/{y}", "{t}^2 + {y}*{t} + 1/{y}"),
+    # a proper common factor of degree 1 in operands of degree 2
+    ("({t}+{y})*({t}-1)", "({t}+{y})*({t}+2)"),
+    # a content in y only
+    ("({y}^2+1)*({t}+{y})*({t}+1)", "({y}^2+1)*({y}+3)*({t}+{y})"),
+)
+
+
+@pytest.mark.parametrize("tower,y,top,pool", _GCD_FIELDS.values(),
                          ids=_GCD_FIELDS.keys())
-def test_poly_gcd_matches_sympy_above_the_bottom(tower, pool):
+def test_poly_gcd_matches_sympy_above_the_bottom(tower, y, top, pool):
     rng = random.Random(120)
-    top = tower.gens[-1].name
-    depth = tower.full_depth
+    depth = tower.depth_of_name(top)
     syms = sympy.symbols(f"y1:{depth}") + (sympy.Symbol("t"),)
+
+    def top_poly(text):
+        return lower(parse(tower, text), depth).num
 
     def rand_top_poly(deg):
         terms = [f"({rng.choice(pool)})*({rng.randint(-3, 3)})*{top}^{e}"
                  for e in range(deg)]
         terms.append(f"({rng.choice(pool)})*{top}^{deg}")
-        return parse(tower, " + ".join(terms)).num
+        return top_poly(" + ".join(terms))
 
-    for _ in range(12):
-        s = rand_top_poly(rng.randint(0, 2))
-        a = rand_top_poly(rng.randint(0, 2)) * s
-        b = rand_top_poly(rng.randint(0, 2)) * s
+    def check(a, b, s):
         g = poly_gcd(a, b)
         assert g.lc() == one_at(depth - 1)
         assert g.degree() >= s.degree()
@@ -251,6 +275,53 @@ def test_poly_gcd_matches_sympy_above_the_bottom(tower, pool):
         expect = sympy.gcd(*cleared)
         expect = expect / sympy.Poly(expect, syms[-1]).LC()
         assert sympy.cancel(_poly_to_sympy(g, depth, syms) - expect) == 0
+
+    for _ in range(12):
+        s = rand_top_poly(rng.randint(0, 2))
+        check(rand_top_poly(rng.randint(0, 2)) * s,
+              rand_top_poly(rng.randint(0, 2)) * s, s)
+    one = top_poly("1")
+    for pair in _GCD_HARD_PAIRS:
+        a, b = (top_poly(text.format(y=y, t=top)) for text in pair)
+        check(a, b, one)
+        check(b, a, one)
+
+
+def test_image_gcd_calls_dmp_gcd_only_for_a_proper_common_factor(
+        monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        assert allow, "dmp_gcd reached on a coprime or dividing pair"
+        return dmp_gcd(*args)
+
+    monkeypatch.setattr(algebra, "dmp_gcd", counted)
+    for field in ("Q(x)[t1]", "Q(n)[x]"):
+        tower, y, top, _pool = _GCD_FIELDS[field]
+        depth = tower.depth_of_name(top)
+
+        def top_poly(text):
+            return lower(parse(tower, text.format(y=y, t=top)), depth).num
+
+        one = top_poly("1")
+        allow = False
+        for coprime in (("{t}^2 + {y}", "{t} - 1"),
+                        ("({y}+2)*{t} + 1", "{y}*{t}^3 + {t} - {y}")):
+            a, b = map(top_poly, coprime)
+            assert poly_gcd(a, b) == one and poly_gcd(b, a) == one
+        for q, m in (("{t} + {y}", "{t}^2 - 1/{y}"),
+                     ("({y}^2+1)*{t}^2 + 3", "({y}+1)*{t}/({y}-2)"),
+                     ("{t}^2 + {y}*{t} + 1", "2/({y}+5)")):
+            b = top_poly(q)
+            a = b * top_poly(m)
+            assert poly_gcd(a, b) == b.monic()[1] == poly_gcd(b, a)
+        assert calls == []
+        allow = True
+        a, b = top_poly("({t}+{y})*({t}-1)"), top_poly("({t}+{y})*({t}+2)")
+        assert poly_gcd(a, b) == top_poly("{t}+{y}")
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_poly_gcd_with_a_constant_operand_is_one():

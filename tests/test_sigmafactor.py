@@ -192,12 +192,11 @@ def test_factor_monic_splits_any_degree_above_bottom():
     assert factor_monic(p.scale(parse(Q_TOWER, "(x+1)/3"))) == facs
 
 
-@pytest.mark.parametrize("tower,pool", _GCD_FIELDS.values(),
+@pytest.mark.parametrize("tower,_y,top,pool", _GCD_FIELDS.values(),
                          ids=_GCD_FIELDS.keys())
-def test_factor_monic_matches_sympy_above_the_bottom(tower, pool):
+def test_factor_monic_matches_sympy_above_the_bottom(tower, _y, top, pool):
     rng = random.Random(130)
-    top = tower.gens[-1].name
-    depth = tower.full_depth
+    depth = tower.depth_of_name(top)
     syms = sympy.symbols(f"y1:{depth}") + (sympy.Symbol("t"),)
     one = one_at(depth - 1)
 
@@ -205,7 +204,7 @@ def test_factor_monic_matches_sympy_above_the_bottom(tower, pool):
         terms = [f"({rng.choice(pool)})*({rng.randint(-3, 3)})*{top}^{e}"
                  for e in range(deg)]
         terms.append(f"{top}^{deg}")
-        return parse(tower, " + ".join(terms)).num
+        return lower(parse(tower, " + ".join(terms)), depth).num
 
     for _ in range(8):
         p = Poly((one,))

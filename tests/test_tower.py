@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumred.algebra import Poly, RatFunc, frac_at, lift, vdepth
+from sumred.algebra import Poly, RatFunc, frac_at, lift, lower, vdepth
 from sumred.errors import InvalidTowerError
 from sumred.tower import Generator, TowerSpec
 from sumred.towerfile import parse_tower_text
@@ -174,6 +174,21 @@ def test_split_poly_proper():
         poly, proper = N_TOWER.split_poly_proper(v)
         assert RatFunc.from_poly(poly, 3) + proper == v
         assert proper.num.is_zero() or proper.num.degree() < proper.den.degree()
+
+
+def test_split_poly_proper_of_a_polynomial_divides_nothing(monkeypatch):
+    values = [lower(parse(N_TOWER, "x*t1^2 + t1/(x+1) + 3"), 2),
+              parse(N_TOWER, "t1*t2^2 + x*t2 + 1/t1")]
+
+    def no_division(self, other):
+        raise AssertionError("split_poly_proper divided by 1")
+
+    monkeypatch.setattr(Poly, "divmod", no_division)
+    for v in values:
+        assert v.den.is_one()
+        poly, proper = N_TOWER.split_poly_proper(v)
+        assert poly == v.num
+        assert proper.is_zero() and proper.depth == v.depth
 
 
 def test_sigma_poly_matches_sigma():
