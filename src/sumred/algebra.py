@@ -112,14 +112,18 @@ over the field below by _monic_from_zz. At c = 1 the image is the stored
 N itself and the way back is one _xpoly; no coefficient view is built.
 sigmafactor factors denominators through the same pair: it hands the image
 to sympy's dmp_factor_list and rebuilds each factor, so it never reads the
-image format itself.
+image format itself. A quadratic with coefficients of depth 0 or 1 it
+splits on the stored integers instead (as_integers), with math.isqrt or
+_zsqrt for the square root of the discriminant.
 
 The optional integer cap (SUMRED_MAX_INT_BITS) is checked on every Poly
 built, so it covers returned values: on the reduced Fraction coefficients at
 the bottom, and on every integer of N and D one level up. It costs one test
 per Poly when unset. The integers inside the kernels and the gcd
 computations (the pseudo-remainders, _qpoly_gcd, the cancellation chains,
-the ZZ images and the integer images of _xgcd_by_image) are not checked.
+the ZZ images and the integer images of _xgcd_by_image) are not checked,
+nor are the discriminant of a quadratic and its square root in
+sigmafactor.
 """
 
 from __future__ import annotations
@@ -1247,6 +1251,35 @@ def _zexquo(a, b):
             for j in range(n):
                 r[i - n + j] -= c * b[j]
     return q
+
+
+def _zsqrt(a):
+    """The Z[x] sequence s with s * s = a and lc(s) > 0, for a Z[x]
+    sequence a without trailing zeros ([] when a is zero); None when a is
+    no such square.
+
+    The coefficients of s are read off a from the top down: s_m is the
+    integer square root of lc(a) (deg a = 2m), and each s_i below it is
+    what s_(i+1)..s_(m-1) leave of the coefficient of x^(m+i), divided by
+    2 s_m. Each division must be exact, and squaring s confirms the lower
+    half of a, which the recurrence does not read.
+    """
+    if not a:
+        return []
+    n = len(a) - 1
+    if n % 2 or a[-1] < 0:
+        return None
+    m = n // 2
+    top = math.isqrt(a[-1])
+    if top * top != a[-1]:
+        return None
+    s = [0] * m + [top]
+    for i in range(m - 1, -1, -1):
+        rest = a[m + i] - sum(s[j] * s[m + i - j] for j in range(i + 1, m))
+        s[i], r = divmod(rest, 2 * top)
+        if r:
+            return None
+    return s if _zmul(s, s) == list(a) else None
 
 
 def _ztaylor(a, u, q, m):

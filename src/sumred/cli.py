@@ -39,10 +39,11 @@ gen t2 : 1/(x+1)^2
 
 def main(argv=None):
     load_int_cap_from_env()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return _dispatch(args)
+        return _SUBCOMMANDS[args.command][2](args)
     except (SummationError, ZeroDivisionError) as e:
         doc = {"command": args.command, "error":
                {"type": type(e).__name__, "message": str(e)}}
@@ -53,58 +54,34 @@ def main(argv=None):
         return 2
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="sumred",
-        description="Exact telescoping and summation in towers of "
-                    "shift extensions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, exprs="one"):
+    p.add_argument("--tower", help="tower description file")
+    p.add_argument("--seed-reps", action="append", default=[],
+                   metavar="NAME:EXPR",
+                   help="seed a shift-class representative (repeatable)")
+    p.add_argument("--json", action="store_true",
+                   help="machine readable output")
+    if exprs == "one":
+        p.add_argument("--expr", required=True,
+                       help="input expression")
+    elif exprs == "many":
+        p.add_argument("--expr", action="append", required=True,
+                       help="input expression (repeatable)")
 
-    def common(p, exprs="one"):
-        p.add_argument("--tower", help="tower description file")
-        p.add_argument("--seed-reps", action="append", default=[],
-                       metavar="NAME:EXPR",
-                       help="seed a shift-class representative (repeatable)")
-        p.add_argument("--json", action="store_true",
-                       help="machine readable output")
-        if exprs == "one":
-            p.add_argument("--expr", required=True,
-                           help="input expression")
-        elif exprs == "many":
-            p.add_argument("--expr", action="append", required=True,
-                           help="input expression (repeatable)")
 
-    p = sub.add_parser("reduce", help="sigma-pair of one element")
-    common(p)
+def _args_summable(p):
+    _common(p)
     p.add_argument("--require-summable", action="store_true")
 
-    p = sub.add_parser("telescope", help="decide summability of one element")
-    common(p)
-    p.add_argument("--require-summable", action="store_true")
 
-    p = sub.add_parser("param-telescope",
-                       help="basis of telescoper rows for several elements")
-    common(p, exprs="many")
-
-    p = sub.add_parser("sigma-check",
-                       help="certify an increment as a new summation level")
-    common(p)
+def _args_sigma_check(p):
+    _common(p)
     p.add_argument("--level", type=int, default=None,
                    help="tower level to check above (default: top)")
 
-    p = sub.add_parser("well-generate",
-                       help="rebuild the tower with remainder increments")
-    common(p, exprs="none")
 
-    p = sub.add_parser("depth-reduce",
-                       help="reduce after transporting to the rebuilt tower")
-    common(p)
-    p.add_argument("--require-summable", action="store_true")
-
-    p = sub.add_parser("verify",
-                       help="reduce, then check the pair pointwise")
-    common(p)
-    p.add_argument("--require-summable", action="store_true")
+def _args_verify(p):
+    _args_summable(p)
     p.add_argument("--verify-range", default="1..50", metavar="A..B",
                    help="index range for the pointwise check")
     p.add_argument("--start", type=int, default=0,
@@ -114,35 +91,44 @@ def _build_parser():
     p.add_argument("--param", action="append", default=[], metavar="NAME=Q",
                    help="parameter value (repeatable)")
 
-    p = sub.add_parser("bench",
-                       help="time reductions of random summable inputs",
-                       description="Time reductions of random summable "
-                                   "inputs. Each trial reduces in a fresh "
-                                   "context on one shared tower, so trials "
-                                   "after the first run on the tower's warm "
-                                   "factorizations and level data.")
-    common(p, exprs="none")
+
+def _args_bench(p):
+    p.description = ("Time reductions of random summable inputs. Each trial "
+                     "reduces in a fresh context on one shared tower, so "
+                     "trials after the first run on the tower's warm "
+                     "factorizations and level data.")
+    _common(p, exprs="none")
     p.add_argument("--degrees", default="5,10,15",
                    help="comma separated total degrees, each >= 0")
     p.add_argument("--trials", type=int, default=3,
                    help="timed reductions per degree, >= 1")
     p.add_argument("--seed", type=int, default=0)
 
+
+def _build_parser(argv=()):
+    """The argument parser for argv.
+
+    When argv starts with a subcommand, only that subcommand's parser is
+    built: every later argument goes to it. The top-level usage, which an
+    unrecognized argument prints, still names every subcommand. Any other
+    argv (help, no command, an unknown one) gets the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sumred",
+        description="Exact telescoping and summation in towers of "
+                    "shift extensions.")
+    names = list(_SUBCOMMANDS)
+    if argv and argv[0] in _SUBCOMMANDS:
+        # the metavar argparse would print for the full list of choices
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(names) + "}")
+        names = [argv[0]]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_args, _run = _SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
-
-
-def _dispatch(args):
-    handlers = {
-        "reduce": _cmd_reduce,
-        "telescope": _cmd_reduce,
-        "param-telescope": _cmd_param_telescope,
-        "sigma-check": _cmd_sigma_check,
-        "well-generate": _cmd_well_generate,
-        "depth-reduce": _cmd_depth_reduce,
-        "verify": _cmd_verify,
-        "bench": _cmd_bench,
-    }
-    return handlers[args.command](args)
 
 
 # -- tower plumbing --------------------------------------------------------
@@ -454,6 +440,28 @@ def _cmd_bench(args):
     return _emit(args, doc, human)
 
 
+# name -> (help, argument builder, handler), in the order of the help
+# listing
+_SUBCOMMANDS = {
+    "reduce": ("sigma-pair of one element", _args_summable, _cmd_reduce),
+    "telescope": ("decide summability of one element", _args_summable,
+                  _cmd_reduce),
+    "param-telescope": ("basis of telescoper rows for several elements",
+                        lambda p: _common(p, exprs="many"),
+                        _cmd_param_telescope),
+    "sigma-check": ("certify an increment as a new summation level",
+                    _args_sigma_check, _cmd_sigma_check),
+    "well-generate": ("rebuild the tower with remainder increments",
+                      lambda p: _common(p, exprs="none"), _cmd_well_generate),
+    "depth-reduce": ("reduce after transporting to the rebuilt tower",
+                     _args_summable, _cmd_depth_reduce),
+    "verify": ("reduce, then check the pair pointwise", _args_verify,
+               _cmd_verify),
+    "bench": ("time reductions of random summable inputs", _args_bench,
+              _cmd_bench),
+}
+
+
 def _random_poly(tower, degree, rng):
     """Dense random polynomial value, integer coefficients in [-9, 9]."""
     def build(depth, bound):
@@ -477,6 +485,8 @@ def _parse_degrees(text):
     except ValueError:
         raise ParseError(f"--degrees wants comma separated integers, "
                          f"got {text!r}")
+    if not degrees:
+        raise ParseError(f"--degrees wants at least one degree, got {text!r}")
     if any(d < 0 for d in degrees):
         raise ParseError(f"--degrees wants degrees >= 0, got {text!r}")
     return degrees
@@ -503,6 +513,6 @@ def _parse_kv(items):
             raise ParseError(f"expected NAME=VALUE, got {item!r}")
         try:
             out.append((name.strip(), Fraction(val.strip())))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational value in {item!r}")
     return out

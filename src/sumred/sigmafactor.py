@@ -11,8 +11,22 @@ factorization over ZZ[y_1..y_c, t]: the parameters and the generators below
 are independent indeterminates (each level is transcendental over the field
 below), so by Gauss's lemma the integer factors of positive degree in t are
 exactly the irreducibles over the field below, whatever their degree.
+sympy's dmp_factor_list (Wang's EEZ algorithm, Wang 1978) is the only
+general path; two degrees are answered without it. A polynomial of degree 1
+is irreducible. A quadratic a2 t^2 + a1 t + a0 whose coefficients have
+depth 0 or 1 (the two integer-stored forms) is split by its discriminant,
+read off the stored integers: Delta = a1^2 - 4 a0 a2 lies in Z or Z[y]. It
+is a square in Q(y) exactly when it is one in Z[y]. A square root in Q(y)
+lies in Q[y], which is integrally closed; write it (u/v) r0 with r0
+primitive in Z[y]. Then r0^2 is primitive (Gauss's lemma), so (u/v)^2 is
+the content of Delta, an integer, and u/v is an integer. So one integer
+square root decides it: the factors are the monic forms of
+2 a2 t + a1 -+ sqrt(Delta) (one factor of multiplicity 2 when Delta = 0),
+and without a root the quadratic is irreducible. The answer is the list
+the factorizer returns: the field is the same and the stored form is
+unique.
 
-The shift exponent between two of them is found exactly, by one path at
+The shift exponent between two irreducibles is found exactly, by one path at
 every level (Karr 1981, JACM 28). Let p, q be monic of degree d in t with
 sigma(t) = t + a. If sigma^k(p) = q, comparing subleading coefficients
 gives c = (q_{d-1} - p_{d-1})/d = S_k + sigma^k(b) - b, with b = p_{d-1}/d
@@ -40,10 +54,13 @@ still sum a level-2 S_k.
 
 from __future__ import annotations
 
+import math
+
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dmp_factor_list
 
-from .algebra import _monic_from_zz, _zz_poly, lower, poly_sort_key, vdepth
+from .algebra import (_monic_from_zz, _xpoly, _zadd, _zmul, _zpoly, _zsqrt,
+                      _zz_poly, lower, poly_sort_key, vdepth)
 
 
 def shift_equivalence(ctx, p, q, depth):
@@ -83,12 +100,53 @@ def factor_monic(p):
     Factors free of t are units of the field below and are dropped; each
     other factor is made monic over the field below. The list is sorted by
     poly_sort_key, so equal inputs give equal lists. A polynomial of degree
-    1 is irreducible over the field below and is only made monic.
+    1 is irreducible over the field below and is only made monic; one of
+    degree 2 with coefficients of depth 0 or 1 is split by its discriminant
+    on the stored integers (_split_quadratic, see the module docstring).
+    Wang's algorithm takes every other degree and depth.
     """
-    if p.degree() == 1:
+    d = p.degree()
+    if d == 1:
         return [(p.monic()[1], 1)]
+    if d == 2 and p.as_integers()[1] is not None:
+        return _split_quadratic(p) or [(p.monic()[1], 1)]
     c = vdepth(p.lc())
     _content, factors = dmp_factor_list(_zz_poly(p, c)[0], c, ZZ)
     monic = ((_monic_from_zz(f, c), mult) for f, mult in factors)
     found = [(f, mult) for f, mult in monic if f.degree() > 0]
     return sorted(found, key=lambda fm: poly_sort_key(fm[0]))
+
+
+def _split_quadratic(p):
+    """The monic linear factors with multiplicities of p, of degree 2 with
+    coefficients of depth 0 or 1, sorted as factor_monic sorts them; None
+    when p is irreducible.
+
+    With p = (a2 t^2 + a1 t + a0) / D stored, the factors are the monic
+    forms of 2 a2 t + a1 -+ s for s^2 = a1^2 - 4 a0 a2, an integer or a
+    Z[y] square root. Delta and s are intermediates, which the integer cap
+    does not check; the factors built are checked.
+    """
+    (a0, a1, a2), den = p.as_integers()
+    if den.__class__ is int:
+        disc = a1 * a1 - 4 * a0 * a2
+        s = math.isqrt(max(disc, 0))
+        if s * s != disc:
+            return None
+        roots = (a1 - s, a1 + s)
+
+        def linear(u):
+            return _zpoly([u, 2 * a2], 2 * a2)
+    else:
+        s = _zsqrt(_zadd(_zmul(a1, a1), _zmul([4], _zmul(a0, a2)), True))
+        if s is None:
+            return None
+        roots = (_zadd(a1, s, True), _zadd(a1, s))
+        lead = [2 * v for v in a2]
+
+        def linear(u):
+            return _xpoly([u, lead], lead, lead)
+    if not s:
+        return [(linear(roots[0]), 2)]
+    return sorted(((linear(u), 1) for u in roots),
+                  key=lambda fm: poly_sort_key(fm[0]))

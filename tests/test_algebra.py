@@ -13,6 +13,7 @@ from sumred.algebra import (Poly, RatFunc, coprime_split, drop, frac_at,
                             padic_expand, poly_gcd, poly_xgcd, set_int_cap,
                             vdepth, zero_at)
 from sumred.errors import IntegerLimitError
+from sumred.sigmafactor import factor_monic
 
 from conftest import H_TOWER, N_TOWER, P_TOWER, parse, rand_proper1
 
@@ -815,10 +816,21 @@ _XINV = RatFunc(_ONE, _BIG, 1)  # 1 / (2^40 + x)
     ((_XBIG, _in_t(_XINV)), lambda a, b: a * b, False),
     ((_XBIG, _in_t(_ONE, _ONE)), lambda a, b: a.divmod(b), True),
     ((_XBIG, _XBIG), lambda a, b: a.divmod(b), False),
+    # a quadratic split by its discriminant: the factors are checked, the
+    # discriminant (2^80 below) and its root are not
+    ((_BIG * _bottom(1, 1),), factor_monic, True),
+    ((_bottom(2 ** 41, 3 * 2 ** 40, 2 ** 40),), factor_monic, False),
+    ((_in_t(_BIG, _ONE) * _in_t(_bottom(0, 1), _ONE),), factor_monic, True),
+    ((_in_t(_bottom(0, 2 ** 40), _bottom(2 ** 40)) * _in_t(_ONE, _ONE),),
+     factor_monic, False),
 ], ids=["add-small", "add", "sub-small", "sub", "scale-small", "scale",
         "inv-monic", "inv", "gcd", "gcd-small", "x-add-small", "x-add",
-        "x-mul", "x-mul-small", "x-divmod", "x-divmod-small"])
+        "x-mul", "x-mul-small", "x-divmod", "x-divmod-small", "split",
+        "split-small", "x-split", "x-split-small"])
 def test_int_cap_checks_each_result_built(operands, op, raises):
+    """The cap is checked on each Poly an operation builds. Intermediates
+    are not checked: the pseudo-remainders and the gcd images, and the
+    discriminant of a quadratic and its square root in factor_monic."""
     set_int_cap(32)
     try:
         if raises:

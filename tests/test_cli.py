@@ -57,8 +57,10 @@ def test_reduce_parse_error_is_a_typed_document(capsys):
     (CREATIVE, [], "missing parameter"),
     (HARMONIC, ["--init", "zz=1"], "unknown generator"),
     (HARMONIC, ["--param", "n=1"], "unknown parameters"),
+    (HARMONIC, ["--init", "t1=1/0"], "'t1=1/0'"),
+    (CREATIVE, ["--param", "n=1/0"], "'n=1/0'"),
 ], ids=["range-before-start", "missing-param", "unknown-init",
-        "unknown-param"])
+        "unknown-param", "zero-denominator-init", "zero-denominator-param"])
 def test_verify_usage_error_is_a_typed_document(capsys, tower, extra, needle):
     code, doc = run_json(capsys, ["verify", "--tower", tower,
                                   "--expr", "1/t1"] + extra)
@@ -150,7 +152,8 @@ def test_bench_reports_summable_rows(capsys):
     (["--trials", "0"], "--trials"),
     (["--degrees", "x"], "--degrees"),
     (["--degrees", "3,-1"], ">= 0"),
-], ids=["no-trials", "non-integer-degree", "negative-degree"])
+    (["--degrees", ""], "at least one degree"),
+], ids=["no-trials", "non-integer-degree", "negative-degree", "no-degree"])
 def test_bench_usage_error_is_a_typed_document(capsys, extra, needle):
     code, doc = run_json(capsys, ["bench", "--degrees", "3", "--trials", "1"]
                          + extra)
@@ -158,6 +161,40 @@ def test_bench_usage_error_is_a_typed_document(capsys, extra, needle):
     assert doc["command"] == "bench"
     assert doc["error"]["type"] == "ParseError"
     assert needle in doc["error"]["message"]
+
+
+# argv for which argparse prints help, a usage error or an unknown command;
+# the last three end in an unrecognized argument after a subcommand, which
+# prints the top-level usage
+PARSER_ARGVS = ([[], ["--help"], ["nosuch"], ["-h", "verify"]]
+                + [[name, "--help"] for name in cli._SUBCOMMANDS]
+                + [[name, "--bogus"] for name in cli._SUBCOMMANDS]
+                + [["verify", "--expr", "x", "--bogus"],
+                   ["param-telescope", "--expr", "x", "--bogus"],
+                   ["bench", "--degrees", "3", "--bogus"]])
+
+
+def _printed(capsys, parse, argv):
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=[" ".join(a) or "none" for a in PARSER_ARGVS])
+def test_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # main builds only the invoked subcommand's parser; every text and exit
+    # code must be the one of the parser holding all subcommands
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _printed(capsys, cli._build_parser().parse_args, argv)
+    assert _printed(capsys, cli.main, argv) == full
+    code, out, err = full
+    asks_help = "--help" in argv or "-h" in argv
+    assert code == (0 if asks_help else 2)
+    assert (out if asks_help else err).startswith("usage: sumred")
+    if argv in ([], ["--help"], ["verify", "--expr", "x", "--bogus"]):
+        assert all(name in out + err for name in cli._SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("golden", GOLDENS,

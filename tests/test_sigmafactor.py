@@ -7,14 +7,17 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dmp_factor_list
 
-from sumred.algebra import Poly, lower, one_at, poly_sort_key, zero_at
+from sumred.algebra import (Poly, _monic_from_zz, _zz_poly, lower, one_at,
+                            poly_sort_key, vdepth, zero_at)
 from sumred.reduction import ReductionContext
 from sumred import sigmafactor
 from sumred.sigmafactor import factor_monic, shift_equivalence
 from sumred.towerfile import load_tower_file, parse_tower_text
 
-from conftest import H_TOWER, Q_TOWER, parse
+from conftest import H_TOWER, N_TOWER, P_TOWER, Q_TOWER, parse
 from test_algebra import _GCD_FIELDS, _poly_to_sympy
 
 
@@ -227,3 +230,96 @@ def test_factor_monic_matches_sympy_above_the_bottom(tower, _y, top, pool):
         for f, mult in got:
             assert any(m == mult and sympy.cancel(f - e) == 0
                        for e, m in expect)
+
+
+def _wang(p):
+    """factor_monic's general path on p: sympy's dmp_factor_list on the ZZ
+    image, each factor of positive degree made monic, sorted."""
+    c = vdepth(p.lc())
+    _content, factors = dmp_factor_list(_zz_poly(p, c)[0], c, ZZ)
+    monic = ((_monic_from_zz(f, c), mult) for f, mult in factors)
+    return _by_rep([(f, mult) for f, mult in monic if f.degree() > 0])
+
+
+# fields whose quadratics the discriminant splits: Q, and the two entries of
+# _GCD_FIELDS with coefficients of depth 1; y = 3 stands in for the
+# parameter over Q
+_SPLIT_FIELDS = {
+    "Q[x]": (Q_TOWER, "3", "x", ("1", "1/2", "-3/4", "5", "7/3")),
+    "Q(x)[t1]": _GCD_FIELDS["Q(x)[t1]"],
+    "Q(n)[x]": _GCD_FIELDS["Q(n)[x]"],
+}
+
+# quadratics (texts in y and t) for each kind the splitter must tell apart
+_SPLIT_CASES = (
+    # distinct linear factors, one of them t itself
+    "({t} - {y})*({t} + 2*{y}^2)",
+    "({y}^2+1)*{t}^2/3 - 2*{t}/({y}+5)",
+    # a square: Delta = 0
+    "({t} - {y})^2*(2/({y}+1))",
+    "{t}^2",
+    # irreducible: Delta = -3 < 0 over Q
+    "{t}^2 + {t} + 1",
+    # irreducible: Delta = 2 s^2, over Q and over Z[y]
+    "{t}^2 + 2*{t} - 1",
+    "2*{y}*{t}^2 - {y}^3",
+    # irreducible: Delta with a negative leading coefficient
+    "{t}^2 + {y}^2",
+    "(3/{y})*({t}^2 + {y}*{t} + {y}^2 + 1)",
+)
+
+
+@pytest.mark.parametrize("tower,y,top,pool", _SPLIT_FIELDS.values(),
+                         ids=_SPLIT_FIELDS.keys())
+def test_factor_monic_splits_quadratics_as_the_factorizer(tower, y, top,
+                                                          pool):
+    rng = random.Random(140)
+    depth = tower.depth_of_name(top)
+
+    def top_poly(text):
+        return lower(parse(tower, text.format(y=y, t=top)), depth).num
+
+    def value():
+        return f"({rng.choice(pool)})*({rng.choice((-3, -2, -1, 1, 2, 5))})"
+
+    def linear():
+        return f"({value()}*{{t}} + {value()}*({rng.randint(-3, 3)}))"
+
+    texts = list(_SPLIT_CASES)
+    for _ in range(30):
+        unit = value()
+        a, b = linear(), linear()
+        texts += [f"{unit}*{a}*{b}", f"{unit}*{a}^2",
+                  f"{unit}*{{t}}^2 + {value()}*{{t}} + {value()}"]
+    kinds = set()
+    for text in texts:
+        p = top_poly(text)
+        assert p.degree() == 2
+        facs = factor_monic(p)
+        assert facs == _wang(p), text
+        kinds.add(tuple(m for _f, m in facs))
+    # each outcome occurs: irreducible, two factors, a square
+    assert kinds == {(1,), (1, 1), (2,)}
+
+
+def test_factor_monic_splits_quadratics_without_the_factorizer(monkeypatch):
+    calls = []
+
+    def record(f, u, dom):
+        calls.append(u)
+        return dmp_factor_list(f, u, dom)
+
+    monkeypatch.setattr(sigmafactor, "dmp_factor_list", record)
+    for tower, text, depth in ((Q_TOWER, "x^2 - 1", 1),
+                               (Q_TOWER, "x^2 - 2", 1),
+                               (H_TOWER, "(t1 - x)*(t1 + 1/x)", 2),
+                               (H_TOWER, "t1^2 + x", 2),
+                               (P_TOWER, "(x - n)^2", 2)):
+        factor_monic(lower(parse(tower, text), depth).num)
+    assert calls == []
+    # coefficients of depth 2 and degree 3 take the factorizer
+    level3 = lower(parse(N_TOWER, "(t2 - t1)*(t2 + x)"), 3).num
+    assert len(factor_monic(level3)) == 2
+    cubic = lower(parse(H_TOWER, "t1^3 - x"), 2).num
+    assert factor_monic(cubic) == [(cubic, 1)]
+    assert calls == [2, 1]

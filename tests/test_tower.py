@@ -78,6 +78,9 @@ def test_seed_validation():
     # a reducible seed would name two shift classes at once
     with pytest.raises(InvalidTowerError):
         parse_tower_text("gen x : 1\nseed x : x^2-1\n")
+    with pytest.raises(InvalidTowerError):
+        parse_tower_text("gen x : 1\nseed x : x\ngen t1 : 1/(x+1)\n"
+                         "seed t1 : t1^2 - x^2\n")
 
 
 def test_sigma_fixes_constants_and_params():
