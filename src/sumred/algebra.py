@@ -814,7 +814,8 @@ def _inv_val(v):
 
 
 def vdepth(v):
-    return 0 if isinstance(v, Fraction) else v.depth
+    # a class test, not isinstance: Fraction's ABC check is slow on a RatFunc
+    return 0 if v.__class__ is Fraction else v.depth
 
 
 _ZERO_CACHE = {}
@@ -852,6 +853,18 @@ def frac_at(fr, depth):
     if _INT_CAP is not None:
         _guard(fr.numerator, fr.denominator)
     return lift(fr, depth)
+
+
+def frac_pow(q, n):
+    """q ** n for a Fraction q, checked against the cap like frac_at. A
+    power the cap would refuse is refused before it is built: for |m| >= 2,
+    |m|^|n| has at least |n| (bitlen(m) - 1) + 1 bits."""
+    if _INT_CAP is not None:
+        for m in (q.numerator, q.denominator):
+            b = abs(m).bit_length()
+            if b > 1 and abs(n) * (b - 1) + 1 > _INT_CAP:
+                raise _over_cap()
+    return frac_at(q ** n, 0)
 
 
 def lift(v, depth):

@@ -41,7 +41,8 @@ def main(argv=None):
     load_int_cap_from_env()
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    parser = _build_parser(argv)
+    args = parser.parse_args(_join_dash_values(parser, argv))
     try:
         return _SUBCOMMANDS[args.command][2](args)
     except (SummationError, ZeroDivisionError) as e:
@@ -129,6 +130,44 @@ def _build_parser(argv=()):
         help_text, add_args, _run = _SUBCOMMANDS[name]
         add_args(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _join_dash_values(parser, argv):
+    """argv with each value that begins with '-' joined to its option, as
+    --expr=-1/x, which argparse would otherwise read as an option.
+
+    Only the options of the subcommand argv names are looked at, each by
+    its full name. The next token stays as it is when it is, or abbreviates,
+    one of that subcommand's option strings (or is '--'), so --expr -h and
+    --expr --json stay the usage errors they are.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return argv
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[argv[0]]
+    options = sub._option_string_actions
+
+    def is_option(tok):
+        if tok in options:
+            return True
+        name = tok.partition("=")[0]
+        return name.startswith("--") and any(o.startswith(name)
+                                             for o in options)
+
+    out = [argv[0]]
+    rest = iter(argv[1:])
+    for tok in rest:
+        action = options.get(tok)
+        out.append(tok)
+        if action is not None and action.nargs is None:
+            value = next(rest, None)
+            if value is None:
+                break
+            if value.startswith("-") and not is_option(value):
+                out[-1] = f"{tok}={value}"
+            else:
+                out.append(value)
+    return out
 
 
 # -- tower plumbing --------------------------------------------------------

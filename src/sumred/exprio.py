@@ -8,8 +8,18 @@ Grammar (whitespace insensitive):
     base   := INT | NAME | '(' expr ')'
     exponent := INT | '-' INT | '(' '-'? INT ')'
 
-NAME resolves against the tower's parameters and generators. The printer
-emits descending powers at every level with the convention that
+NAME resolves against the tower's parameters and generators. Each
+sub-expression is built at the depth it needs: an integer is a Fraction at
+depth 0, a name the variable at its own depth, and an operator lifts only
+its shallower operand to the depth of the deeper one. The result is lifted
+once, to the tower's full depth. lift is a ring embedding and canonical
+forms are unique, so this is the value that arithmetic at full depth on
+lifted atoms gives, with the same representation. The integer cap is
+checked on every depth-0 intermediate as frac_at checks it, and a depth-0
+power the cap would refuse is refused before it is built; values above
+depth 0 are checked by the polynomials they build.
+
+The printer emits descending powers at every level with the convention that
 parse(format(v)) == v, which together with the reduced canonical form of
 values makes printed strings usable as equality certificates.
 """
@@ -17,11 +27,13 @@ values makes printed strings usable as equality certificates.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
 
-from .algebra import RatFunc, _is_zero_val, frac_at, lift, lower, poly_gcd
+from .algebra import (RatFunc, _is_zero_val, frac_at, frac_pow, lift, lower,
+                      poly_gcd, vdepth)
 from .errors import IntegerLimitError, ParseError
 
 
@@ -48,7 +60,7 @@ class _Parser:
         v = self._expr()
         if self.tok is not None:
             raise ParseError(f"unexpected {self.tok!r}", position=self.tok_pos + 1)
-        return v
+        return lift(v, self.tower.full_depth)
 
     def _advance(self):
         m = _TOKEN.match(self.text, self.pos)
@@ -74,8 +86,7 @@ class _Parser:
         while self.tok in ("+", "-"):
             op = self.tok
             self._advance()
-            w = self._term()
-            v = v + w if op == "+" else v - w
+            v = _combine(_OPS[op], v, self._term())
         return v
 
     def _term(self):
@@ -85,12 +96,9 @@ class _Parser:
             pos = self.tok_pos
             self._advance()
             w = self._factor()
-            if op == "*":
-                v = v * w
-            else:
-                if _is_zero_val(w):
-                    raise ParseError("division by zero", position=pos + 1)
-                v = v / w
+            if op == "/" and _is_zero_val(w):
+                raise ParseError("division by zero", position=pos + 1)
+            v = _combine(_OPS[op], v, w)
         return v
 
     def _factor(self):
@@ -106,7 +114,7 @@ class _Parser:
             n = self._exponent()
             if n < 0 and _is_zero_val(v):
                 raise ParseError("zero raised to a negative power", position=pos + 1)
-            v = v ** n
+            v = v ** n if vdepth(v) else frac_pow(v, n)
         return v if sign > 0 else -v
 
     def _base(self):
@@ -122,7 +130,7 @@ class _Parser:
             return v
         if tok.isdigit():
             self._advance()
-            return frac_at(Fraction(_text_int(tok)), self.tower.full_depth)
+            return frac_at(Fraction(_text_int(tok)), 0)
         if tok[0].isalpha() or tok[0] == "_":
             try:
                 var = self.tower.var(tok)
@@ -130,7 +138,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok!r}",
                                  position=self.tok_pos + 1) from None
             self._advance()
-            return lift(var, self.tower.full_depth) if not isinstance(var, Fraction) else var
+            return var
         self._expect("a value")
 
     def _exponent(self):
@@ -151,6 +159,23 @@ class _Parser:
                 self._expect("')'")
             self._advance()
         return -n if neg else n
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _combine(op, v, w):
+    """op(v, w) with the shallower operand lifted to the depth of the
+    other; a result at depth 0 is checked against the integer cap."""
+    dv, dw = vdepth(v), vdepth(w)
+    if dv < dw:
+        v = lift(v, dw)
+    elif dw < dv:
+        w = lift(w, dv)
+    elif not dv:
+        return frac_at(op(v, w), 0)
+    return op(v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ The pointwise check of a sigma-pair walks one orbit and reads f, g and r
 off it at each index, g once more at the index after the last. A value is
 evaluated on integer (numerator, denominator) pairs that are never reduced:
 each polynomial clears its coefficients' denominators with one lcm and runs
-a homogenised integer Horner, and one Fraction is built at the end, so no
-gcd is taken per step.
+a homogenised integer Horner, so no gcd is taken per step. The check
+decides f(k) - g(k+1) + g(k) - r(k) = 0 on those unreduced pairs by
+cross-multiplying, and builds one reduced Fraction only for an index where
+it fails, the residual the report lists.
 """
 
 import math
@@ -104,8 +106,13 @@ class _Orbit:
             self.step()
 
     def value(self, f):
+        p = self.pair(f)
+        return p if p is POLE else Fraction(*p)
+
+    def pair(self, f):
+        """(n, d) with f = n / d here, unreduced, or POLE."""
         try:
-            return _eval_at(f, self.vals)
+            return _pair_at(f, self.vals)
         except _Pole:
             return POLE
 
@@ -141,21 +148,23 @@ def verify_sigma_pair(tower, f, pair, assign, k_from, k_to):
     """Check f(k) = g(k+1) - g(k) + r(k) at every non-pole index."""
     orbit = _orbit_from(tower, assign, k_from, k_to)
     f, g, r = (tower.lift_to_top(v) for v in (f, pair[0], pair[1]))
-    g_next = orbit.value(g)
+    g_next = orbit.pair(g)
     checked = skipped = 0
     failures = []
     for k in range(k_from, k_to + 1):
-        fk, g_k, rk = orbit.value(f), g_next, orbit.value(r)
+        fk, g_k, rk = orbit.pair(f), g_next, orbit.pair(r)
         orbit.step()
-        g_next = orbit.value(g)
-        parts = (fk, g_next, g_k, rk)
-        if any(p is POLE for p in parts):
+        g_next = orbit.pair(g)
+        if any(p is POLE for p in (fk, g_next, g_k, rk)):
             skipped += 1
             continue
-        resid = parts[0] - (parts[1] - parts[2] + parts[3])
         checked += 1
-        if resid != 0:
-            failures.append((k, resid))
+        # f - g(k+1) + g(k) - r over the product of the four denominators
+        (fn, fd), (an, ad), (bn, bd), (rn, rd) = fk, g_next, g_k, rk
+        den_ab = ad * bd
+        num = (fn * den_ab - fd * (an * bd - bn * ad)) * rd - rn * fd * den_ab
+        if num:
+            failures.append((k, Fraction(num, fd * den_ab * rd)))
     return VerifyPairReport(checked, skipped, failures)
 
 
@@ -255,7 +264,13 @@ def _const_at(tower, c, pvals):
 
 
 def _eval_at(v, vals):
-    """The Fraction v takes at vals (depth -> Fraction, None once poisoned).
+    """The Fraction v takes at vals; see _pair_at."""
+    return Fraction(*_pair_at(v, vals))
+
+
+def _pair_at(v, vals):
+    """(n, d) with v = n / d at vals (depth -> Fraction, None once
+    poisoned); d != 0, and neither is reduced nor signed.
 
     Raises _Pole when a denominator evaluates to 0, or when a polynomial of
     positive degree (or the zero polynomial) meets a poisoned variable.
@@ -311,5 +326,4 @@ def _eval_at(v, vals):
             acc = acc * x + n * w
         return acc, w
 
-    n, d = val(v, vdepth(v))
-    return Fraction(n, d)
+    return val(v, vdepth(v))

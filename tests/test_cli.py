@@ -225,3 +225,41 @@ def test_missing_tower_file_is_a_typed_document(capsys, tmp_path):
     assert doc["command"] == "reduce"
     assert doc["error"]["type"] == "ParseError"
     assert missing in doc["error"]["message"]
+
+
+NESTED = str(ROOT / "towers" / "nested.tower")
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["reduce", "--tower", NESTED, "--expr", "-1/x"], "--expr"),
+    (["param-telescope", "--tower", CREATIVE, "--expr", "t1/(n-x+2)",
+      "--expr", "-t1/(n-x+3)"], "--expr"),
+    (["verify", "--tower", NESTED, "--expr", "-x*t1", "--start", "-2",
+      "--verify-range", "-2..3"], "--verify-range"),
+], ids=["reduce", "param-telescope", "verify"])
+def test_option_values_may_begin_with_a_dash(capsys, argv, option):
+    # the printer emits such strings, so they must read back as values
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and "error" not in doc
+    # the same document as the --option=value form, which argparse reads
+    i = len(argv) - 1 - argv[::-1].index(option)
+    joined = argv[:i] + [f"{option}={argv[i + 1]}"] + argv[i + 2:]
+    code2, doc2 = run_json(capsys, joined)
+    doc.pop("timing_ms")
+    doc2.pop("timing_ms")
+    assert (code2, doc2) == (code, doc)
+    if argv[0] == "verify":
+        assert doc["verification"]["range"] == [-2, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--expr", "-h"],
+    ["reduce", "--expr", "--json"],
+    ["reduce", "--expr", "--js"],
+    ["reduce", "--expr", "--"],
+    ["verify", "--expr", "x", "--verify-range"],
+], ids=["help", "option", "abbreviation", "separator", "missing"])
+def test_an_option_string_is_never_taken_as_a_value(capsys, argv):
+    full = _printed(capsys, cli._build_parser().parse_args, argv)
+    assert full[0] == 2
+    assert _printed(capsys, cli.main, argv) == full

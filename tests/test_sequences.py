@@ -181,23 +181,35 @@ def _three_walks(tower, f, pair, assign, k_from, k_to):
 _POISON_TOWER = parse_tower_text("gen x : 1\nseed x : x\ngen s : 1/(x-2)\n")
 
 
-@pytest.mark.parametrize("tower,params,texts", [
-    (N_TOWER, {}, ["t2/x", "1/(x-3) + t1^2/(t1+1)", "t2^2/(x+1) + 1/(t1-2)"]),
-    (P_TOWER, {"n": 5}, ["t1/(n-x)", "x*t1/(x+n)^2"]),
-    (_POISON_TOWER, {}, ["s^2 - s", "x*s"]),
-], ids=["N", "P", "poisoned"])
-def test_one_orbit_check_matches_three_walks(tower, params, texts):
+_N_TEXTS = ["t2/x", "1/(x-3) + t1^2/(t1+1)", "t2^2/(x+1) + 1/(t1-2)"]
+
+
+@pytest.mark.parametrize("tower,params,texts,start", [
+    (N_TOWER, {}, _N_TEXTS, 0),
+    (P_TOWER, {"n": 5}, ["t1/(n-x)", "x*t1/(x+n)^2"], 0),
+    (_POISON_TOWER, {}, ["s^2 - s", "x*s"], 0),
+    # x and several denominators are negative, and t1 (so t2) is poisoned
+    # after x = -1, where its increment 1/(x+1) has a pole
+    (N_TOWER, {}, _N_TEXTS + ["1/(x+2) - t1/(x-1)", "1/(x^2+1)"], -5),
+], ids=["N", "P", "poisoned", "N-negative"])
+def test_one_orbit_check_matches_three_walks(tower, params, texts, start):
     ctx = ReductionContext(tower)
-    assign = SequenceAssignment(tower, params=params)
+    assign = SequenceAssignment(tower, start=start, params=params)
+    k_from, k_to = start, start + 9
     skipped = 0
     for text in texts:
         f = parse(tower, text)
         g, r = complete_reduction(ctx, f)
-        for pair in ((g, r), (g + parse(tower, "1/(x+4)"), r)):
-            rep = verify_sigma_pair(tower, f, pair, assign, 0, 9)
-            assert tuple(rep) == _three_walks(tower, f, pair, assign, 0, 9)
+        # the pair and two corrupted ones; x^2 - 2 changes sign between
+        # x = 1 and 2 and between x = -2 and -1, so the unreduced
+        # denominators of g(k) and g(k+1) differ in sign there
+        for pair in ((g, r), (g + parse(tower, "1/(x+4)"), r),
+                     (g - parse(tower, "1/(x^2-2)"), r)):
+            rep = verify_sigma_pair(tower, f, pair, assign, k_from, k_to)
+            assert tuple(rep) == _three_walks(tower, f, pair, assign,
+                                              k_from, k_to)
             skipped += rep.skipped
-        assert rep.failures  # the corrupted pair
+        assert rep.failures  # a corrupted pair
     assert skipped > 0
 
 
