@@ -59,6 +59,19 @@ content and denominator is taken where a smaller one suffices:
    image of t and x + c that of x (c = 0 when x is a parameter), where a
    factor can cancel only if it divides both B and N_n.
 
+The Z[x] kernels under these rules (_zpoly_gcd, _zmul, _zexquo) read the
+power of x off their operands first; x^i A is stored as A behind i leading
+zeros. x is prime in the UFD Z[x], so when x divides neither A nor B,
+gcd(x^i A, x^j B) = x^min(i, j) gcd(A, B): only gcd(A, B) takes the PRS,
+and none is run when A or B is a constant. A product c x^i * x^j B is c B
+behind i + j zeros, one scale. If x^j B divides a, then a has at least j
+leading zeros, and both lose j before the division. A primitive gcd with
+a positive leading coefficient stays so behind leading zeros, so every
+result is the one the plain kernels give. This pays because in the
+bundled towers x is its own shift class: reduce_proper moves each factor
+sigma^s(x) = x + s onto x, and many denominators D in Z[x] are
+x^i (x + 1)^j.
+
 coeffs, the Fraction or RatFunc tuple that printing, the sort keys and
 generic code read, is built on first read and then kept; results nobody
 reads never build it. poly_sort_key and value_sort_key read this view, so
@@ -1186,7 +1199,25 @@ def _zpoly_pdivmod(a, b):
 
 def _zpoly_gcd(a, b):
     """Primitive gcd with a positive leading coefficient of two nonzero
-    integer coefficient sequences without trailing zeros."""
+    integer coefficient sequences without trailing zeros, as a new list.
+
+    The powers of x are taken out first: with a = x^i A and b = x^j B,
+    x dividing neither A nor B, the gcd is x^min(i, j) gcd(A, B), and
+    gcd(A, B) is 1 when A or B is a constant. Only the rest takes the
+    primitive PRS.
+    """
+    i = 0
+    while not a[i]:
+        i += 1
+    j = 0
+    while not b[j]:
+        j += 1
+    out = [0] * min(i, j)
+    a = a[i:]
+    b = b[j:]
+    if len(a) == 1 or len(b) == 1:
+        out.append(1)
+        return out
     if len(a) < len(b):
         a, b = b, a
     a = _zpoly_primitive(a)
@@ -1196,14 +1227,20 @@ def _zpoly_gcd(a, b):
         while r and r[-1] == 0:
             r.pop()
         if not r:
-            return b
+            out += b
+            return out
         if len(r) == 1:
-            return [1]
+            out.append(1)
+            return out
         a, b = b, _zpoly_primitive(r)
 
 
 def _zmul(a, b):
-    """The product of two Z[x] sequences (low first; [] for zero)."""
+    """The product of two Z[x] sequences (low first; [] for zero).
+
+    A power of x in an operand only shifts the product, so a monomial
+    c x^k times b is b scaled by c behind k zeros.
+    """
     if not a or not b:
         return []
     if len(a) == 1:
@@ -1212,6 +1249,19 @@ def _zmul(a, b):
     if len(b) == 1:
         c = b[0]
         return [x * c for x in a]
+    i = 0
+    while not a[i]:
+        i += 1
+    j = 0
+    while not b[j]:
+        j += 1
+    if j + 1 == len(b):
+        a, i, b, j = b, j, a, i
+    if i + 1 == len(a):
+        c = a[i]
+        out = [0] * (i + j)
+        out += [c * y for y in b[j:]]
+        return out
     out = []
     _zmuladd(out, a, b)
     return out
@@ -1248,7 +1298,16 @@ def _zadd(a, b, subtract=False):
 
 def _zexquo(a, b):
     """a / b for Z[x] sequences where b divides a with a quotient over Z
-    (b primitive, or a constant dividing every coefficient)."""
+    (b primitive, or a constant dividing every coefficient).
+
+    When b = x^j B, a is x^j times a multiple of B, so both lose their j
+    leading zeros first."""
+    j = 0
+    while not b[j]:
+        j += 1
+    if j:
+        a = a[j:]
+        b = b[j:]
     if len(b) == 1:
         c = b[0]
         return [x // c for x in a]

@@ -4,11 +4,12 @@ Subcommands map one to one onto the library operations: reduce and
 telescope produce a sigma-pair, param-telescope a basis of telescoper
 rows, sigma-check a monomial certificate, well-generate and depth-reduce
 the rebuilt tower, verify a pointwise numeric check, bench a timing
-table over random summable inputs (each trial reduces in a fresh context,
-but the trials share one tower, so trials after the first run on the
-tower's warm factorizations and level data).  Exit codes: 0 success, 1 when
---require-summable is set and the remainder is nonzero, 2 for engine or
-usage errors.
+table over random summable inputs, checking each pair (g, 0) against
+sigma(g) - g = f outside the timed part (each trial reduces in a fresh
+context, but the trials share one tower, so trials after the first run
+on the tower's warm factorizations and level data).  Exit codes: 0
+success, 1 when --require-summable is set and the remainder is nonzero,
+2 for engine or usage errors.
 """
 
 import argparse
@@ -459,6 +460,10 @@ def _cmd_bench(args):
                 raise SummationError(
                     f"benchmark reduction left a remainder at degree "
                     f"{degree}, trial {trial}")
+            if tower.delta(g) != f:
+                raise SummationError(
+                    f"benchmark reduction gave a g with sigma(g) - g != f "
+                    f"at degree {degree}, trial {trial}")
         row = {
             "degree": degree,
             "trials": args.trials,

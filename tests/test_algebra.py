@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.euclidtools import dmp_gcd
+from sympy.polys.densearith import dup_exquo, dup_mul
+from sympy.polys.densetools import dup_primitive
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_gcd, dup_gcd
 
 from sumred import algebra
-from sumred.algebra import (Poly, RatFunc, coprime_split, drop, frac_at,
-                            lift, lower, modular_residue, one_at,
-                            padic_expand, poly_gcd, poly_xgcd, set_int_cap,
-                            vdepth, zero_at)
+from sumred.algebra import (Poly, RatFunc, _zexquo, _zmul, _zpoly_gcd,
+                            coprime_split, drop, frac_at, lift, lower,
+                            modular_residue, one_at, padic_expand, poly_gcd,
+                            poly_xgcd, set_int_cap, vdepth, zero_at)
 from sumred.errors import IntegerLimitError
 from sumred.sigmafactor import factor_monic
 
@@ -340,6 +343,70 @@ def test_poly_gcd_with_a_constant_operand_is_one():
         assert poly_gcd(other, const) == one
         assert poly_gcd(const, const) == one
         assert poly_gcd(Poly(()), const) == one
+
+
+def _zz_operand(rng, c, i, h):
+    """c x^i h as a Z[x] sequence (low first), sometimes as a tuple."""
+    a = [0] * i + [c * v for v in h]
+    return tuple(a) if rng.random() < 0.3 else a
+
+
+def _zz_pairs():
+    """Seeded Z[x] operand pairs c x^i h, i = 0..4: monomials and constants,
+    equal operands, negative leading coefficients, a common factor or
+    coprime tails."""
+    rng = random.Random(160)
+
+    def h(deg):
+        # sometimes x | h, so the power of x of an operand exceeds i
+        return [rng.randint(-9, 9) for _ in range(deg)] + [
+            rng.choice([1, 2, 3, -1, -2])]
+
+    pairs = []
+    for _ in range(200):
+        s = h(rng.randint(0, 2))
+        ops = []
+        for _side in range(2):
+            tail = _zmul(h(rng.randint(0, 3)) if rng.random() < 0.8 else [1],
+                         s)
+            ops.append(_zz_operand(rng, rng.choice([1, 2, 5, -1, -3]),
+                                   rng.randint(0, 4), tail))
+        pairs.append(tuple(ops))
+        pairs.append((ops[0], ops[0]))
+    # coprime tails, and the constants
+    pairs += [([0, 0, 1, 1], (0, 3, 0, 1)), ([1, 1], [0, 0, -1, 1]),
+              ([7], [0, 0, 0, -14]), ((-4,), (6,)), ([0, 5], (2,))]
+    return pairs
+
+
+def _dup(a):
+    return [ZZ(c) for c in reversed(a)]
+
+
+def test_z_kernel_matches_sympy_dup():
+    for a, b in _zz_pairs():
+        g = _zpoly_gcd(a, b)
+        content, expect = dup_primitive(dup_gcd(_dup(a), _dup(b), ZZ), ZZ)
+        if expect[0] < 0:
+            expect = [-c for c in expect]
+        assert type(g) is list and g is not a and g is not b
+        assert g == expect[::-1], (a, b)
+        ab = _zmul(a, b)
+        assert type(ab) is list
+        assert ab == dup_mul(_dup(a), _dup(b), ZZ)[::-1], (a, b)
+        for p, q in ((ab, b), (ab, a), (tuple(ab), b)):
+            assert _zexquo(p, q) == dup_exquo(_dup(p), _dup(q), ZZ)[::-1]
+
+
+def test_z_gcd_takes_out_the_power_of_x_without_pseudo_division(
+        monkeypatch):
+    def refused(*args):
+        raise AssertionError("_zpoly_pdivmod reached")
+
+    monkeypatch.setattr(algebra, "_zpoly_pdivmod", refused)
+    for a, b, g in (([0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 5], [0, 0, 0, 1]),
+                    ([0, 0, 1], [1, 3], [1])):
+        assert _zpoly_gcd(a, b) == g and _zpoly_gcd(b, a) == g
 
 
 def test_poly_xgcd_bezout():

@@ -148,6 +148,20 @@ def test_bench_reports_summable_rows(capsys):
             for row in doc["bench"]] == [(3, 1, True)]
 
 
+def test_bench_checks_the_g_it_times(capsys, monkeypatch):
+    reduce = cli.complete_reduction
+
+    def wrong_g(ctx, f):
+        g, r = reduce(ctx, f)
+        return g + g, r
+
+    monkeypatch.setattr(cli, "complete_reduction", wrong_g)
+    code, doc = run_json(capsys, ["bench", "--degrees", "3", "--trials", "1"])
+    assert code == 2
+    assert doc["error"]["type"] == "SummationError"
+    assert "sigma(g) - g != f" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("extra,needle", [
     (["--trials", "0"], "--trials"),
     (["--degrees", "x"], "--degrees"),
