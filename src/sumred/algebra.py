@@ -129,14 +129,14 @@ image format itself. A quadratic with coefficients of depth 0 or 1 it
 splits on the stored integers instead (as_integers), with math.isqrt or
 _zsqrt for the square root of the discriminant.
 
-The optional integer cap (SUMRED_MAX_INT_BITS) is checked on every Poly
-built, so it covers returned values: on the reduced Fraction coefficients at
-the bottom, and on every integer of N and D one level up. It costs one test
-per Poly when unset. The integers inside the kernels and the gcd
-computations (the pseudo-remainders, _qpoly_gcd, the cancellation chains,
-the ZZ images and the integer images of _xgcd_by_image) are not checked,
-nor are the discriminant of a quadratic and its square root in
-sigmafactor.
+The optional integer cap (SUMRED_MAX_INT_BITS, which the command line reads
+on each run) is checked on every Poly built, so it covers returned values:
+on the reduced Fraction coefficients at the bottom, and on every integer of
+N and D one level up. It costs one test per Poly when unset. The integers
+inside the kernels and the gcd computations (the pseudo-remainders,
+_qpoly_gcd, the cancellation chains, the ZZ images and the integer images
+of _xgcd_by_image) are not checked, nor are the discriminant of a quadratic
+and its square root in sigmafactor.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ from sympy.polys.densebasic import dmp_one, dmp_zero, dmp_zero_p
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_cancel, dmp_gcd, dmp_lcm
 
-from .errors import IntegerLimitError
+from .errors import IntegerLimitError, ParseError
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -170,12 +170,14 @@ def set_int_cap(bits):
     _INT_CAP = bits
 
 
-def load_int_cap_from_env(env="SUMRED_MAX_INT_BITS"):
-    raw = os.environ.get(env)
-    set_int_cap(int(raw) if raw else None)
-
-
-load_int_cap_from_env()
+def load_int_cap_from_env():
+    """Set the cap from SUMRED_MAX_INT_BITS; unset or empty clears it."""
+    raw = os.environ.get("SUMRED_MAX_INT_BITS")
+    try:
+        set_int_cap(int(raw) if raw else None)
+    except ValueError:
+        raise ParseError(f"SUMRED_MAX_INT_BITS wants a positive integer, "
+                         f"got {raw!r}") from None
 
 
 def _guard(n, d):

@@ -7,9 +7,16 @@ the rebuilt tower, verify a pointwise numeric check, bench a timing
 table over random summable inputs, checking each pair (g, 0) against
 sigma(g) - g = f outside the timed part (each trial reduces in a fresh
 context, but the trials share one tower, so trials after the first run
-on the tower's warm factorizations and level data).  Exit codes: 0
-success, 1 when --require-summable is set and the remainder is nonzero,
-2 for engine or usage errors.
+on the tower's warm factorizations and level data).
+
+Every subcommand has one output path. It parses its inputs, times its
+library call with _timed and hands its own fields and text lines to
+_finish, the only place that builds the document {command, tower,
+fields, new_representatives, timing_ms}, prints it with --json (else the
+lines and the time) and picks the exit code: 0 success, 1 when
+--require-summable is set and the remainder is nonzero. _pair_out and
+_rebuilt_out give the fields and lines of a sigma-pair and of a rebuilt
+tower. main maps engine and usage errors to an error document and exit 2.
 """
 
 import argparse
@@ -39,12 +46,12 @@ gen t2 : 1/(x+1)^2
 
 
 def main(argv=None):
-    load_int_cap_from_env()
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser(argv)
     args = parser.parse_args(_join_dash_values(parser, argv))
     try:
+        load_int_cap_from_env()
         return _SUBCOMMANDS[args.command][2](args)
     except (SummationError, ZeroDivisionError) as e:
         doc = {"command": args.command, "error":
@@ -216,100 +223,93 @@ def _seed_at(tower, name, expr):
     return v.num
 
 
-def _rep_notes(ctx):
-    out = []
-    for kind, level, irr in ctx.notes:
-        if kind == "new-representative":
-            depth = ctx.tower.depth_of_level(level)
-            out.append(f"level {level}: "
-                       f"{format_poly(ctx.tower, irr, depth)}")
-    return out
+# -- the one output path ---------------------------------------------------
+
+def _timed(fn, *args):
+    """fn(*args) and its wall time in ms."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, (time.perf_counter() - t0) * 1000.0
 
 
-def _emit(args, doc, human):
+def _finish(args, fields, human, ms=None, summable=True, ctx=None):
+    """Print a command's document or its lines, return its exit code;
+    with ctx the representatives it noted go last, then the time."""
+    doc = {"command": args.command, "tower": args.tower, **fields}
+    if ctx is not None:
+        tower = ctx.tower
+        notes = [f"level {level}: "
+                 + format_poly(tower, irr, tower.depth_of_level(level))
+                 for kind, level, irr in ctx.notes
+                 if kind == "new-representative"]
+        doc["new_representatives"] = notes
+        human = human + [f"new representative {n}" for n in notes]
+    if ms is not None:
+        doc["timing_ms"] = round(ms, 3)
+        human = human + [f"time: {ms:.1f} ms"]
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
-        for line in human:
-            print(line)
-    return 0
+        print("\n".join(human))
+    return 1 if not summable and args.require_summable else 0
+
+
+def _pair_out(spec, res):
+    """The g, r and summable fields of a sigma-pair, and their lines."""
+    gs, rs = format_value(spec, res.g), format_value(spec, res.r)
+    return ({"g": gs, "r": rs, "summable": res.summable},
+            [f"g = {gs}", f"r = {rs}",
+             f"summable: {'yes' if res.summable else 'no'}"])
+
+
+def _rebuilt_out(iso):
+    """Fields and generator listing of the tower that iso maps into."""
+    spec = iso.target
+    gens = [{"name": gen.name, "delta": format_value(spec, gen.delta)}
+            for gen in spec.gens]
+    images = {old.name: format_value(spec, img)
+              for old, img in zip(iso.source.gens, iso.images)}
+    human = ["well generated tower:"]
+    human += [f"  gen {row['name']} : {row['delta']}" for row in gens]
+    return {"generators": gens, "images": images}, human
 
 
 # -- subcommands -----------------------------------------------------------
 
-def _cmd_reduce(args):
+def _load_input(args):
+    """The tower, a fresh reduction context on it and the parsed --expr."""
     tower = _load_tower(args)
     ctx = ReductionContext(tower)
-    f = parse_expression(tower, args.expr)
-    t0 = time.perf_counter()
-    res = telescope(ctx, f)
-    ms = (time.perf_counter() - t0) * 1000.0
-    gs, rs = format_value(tower, res.g), format_value(tower, res.r)
-    doc = {
-        "command": args.command,
-        "tower": args.tower,
-        "inputs": [format_value(tower, f)],
-        "g": gs,
-        "r": rs,
-        "summable": res.summable,
-        "new_representatives": _rep_notes(ctx),
-        "timing_ms": round(ms, 3),
-    }
-    human = [f"g = {gs}", f"r = {rs}",
-             f"summable: {'yes' if res.summable else 'no'}"]
-    human += [f"new representative {n}" for n in doc["new_representatives"]]
-    human.append(f"time: {ms:.1f} ms")
-    code = _emit(args, doc, human)
-    if args.require_summable and not res.summable:
-        return 1
-    return code
+    return tower, ctx, parse_expression(tower, args.expr)
+
+
+def _cmd_reduce(args):
+    tower, ctx, f = _load_input(args)
+    res, ms = _timed(telescope, ctx, f)
+    pair, human = _pair_out(tower, res)
+    return _finish(args, {"inputs": [format_value(tower, f)], **pair},
+                   human, ms, res.summable, ctx)
 
 
 def _cmd_param_telescope(args):
     tower = _load_tower(args)
     ctx = ReductionContext(tower)
     fs = [parse_expression(tower, e) for e in args.expr]
-    t0 = time.perf_counter()
-    basis = parameterized_telescope(ctx, fs)
-    ms = (time.perf_counter() - t0) * 1000.0
+    basis, ms = _timed(parameterized_telescope, ctx, fs)
     rows = [{"coeffs": [format_value(tower, c) for c in row.coeffs],
              "g": format_value(tower, row.certificate)}
             for row in basis]
-    doc = {
-        "command": args.command,
-        "tower": args.tower,
-        "inputs": [format_value(tower, f) for f in fs],
-        "basis": rows,
-        "new_representatives": _rep_notes(ctx),
-        "timing_ms": round(ms, 3),
-    }
     human = ["basis rows:"]
-    for row in rows:
-        cs = ", ".join(row["coeffs"])
-        human.append(f"  ({cs})  g = {row['g']}")
-    human += [f"new representative {n}" for n in doc["new_representatives"]]
-    human.append(f"time: {ms:.1f} ms")
-    return _emit(args, doc, human)
+    human += [f"  ({', '.join(row['coeffs'])})  g = {row['g']}"
+              for row in rows]
+    return _finish(args, {"inputs": [format_value(tower, f) for f in fs],
+                          "basis": rows}, human, ms, ctx=ctx)
 
 
 def _cmd_sigma_check(args):
-    tower = _load_tower(args)
-    ctx = ReductionContext(tower)
-    a = parse_expression(tower, args.expr)
-    t0 = time.perf_counter()
-    res = sigma_check(ctx, a, args.level)
-    ms = (time.perf_counter() - t0) * 1000.0
-    gs = format_value(tower, res.g)
-    rs = format_value(tower, res.remainder)
-    doc = {
-        "command": args.command,
-        "tower": args.tower,
-        "inputs": [format_value(tower, a)],
-        "is_sigma_monomial": res.is_sigma_monomial,
-        "g": gs,
-        "r": rs,
-        "timing_ms": round(ms, 3),
-    }
+    tower, ctx, a = _load_input(args)
+    res, ms = _timed(sigma_check, ctx, a, args.level)
+    gs, rs = format_value(tower, res.g), format_value(tower, res.remainder)
     if res.is_sigma_monomial:
         human = ["genuine new level: yes",
                  f"replacement increment r = {rs}",
@@ -317,82 +317,35 @@ def _cmd_sigma_check(args):
     else:
         human = ["genuine new level: no",
                  f"increment telescopes: g = {gs}"]
-    human.append(f"time: {ms:.1f} ms")
-    return _emit(args, doc, human)
-
-
-def _tower_listing(spec):
-    return [{"name": gen.name, "delta": format_value(spec, gen.delta)}
-            for gen in spec.gens]
+    return _finish(args, {"inputs": [format_value(tower, a)],
+                          "is_sigma_monomial": res.is_sigma_monomial,
+                          "g": gs, "r": rs}, human, ms)
 
 
 def _cmd_well_generate(args):
     tower = _load_tower(args)
-    ctx = ReductionContext(tower)
-    t0 = time.perf_counter()
-    new_spec, iso = well_generate(ctx)
-    ms = (time.perf_counter() - t0) * 1000.0
-    images = {old.name: format_value(new_spec, img)
-              for old, img in zip(tower.gens, iso.images)}
-    doc = {
-        "command": args.command,
-        "tower": args.tower,
-        "generators": _tower_listing(new_spec),
-        "images": images,
-        "timing_ms": round(ms, 3),
-    }
-    human = ["well generated tower:"]
-    for row in doc["generators"]:
-        human.append(f"  gen {row['name']} : {row['delta']}")
+    (_spec, iso), ms = _timed(well_generate, ReductionContext(tower))
+    fields, human = _rebuilt_out(iso)
     human.append("images:")
-    for name, img in images.items():
-        human.append(f"  {name} -> {img}")
-    human.append(f"time: {ms:.1f} ms")
-    return _emit(args, doc, human)
+    human += [f"  {name} -> {img}" for name, img in fields["images"].items()]
+    return _finish(args, fields, human, ms)
 
 
 def _cmd_depth_reduce(args):
-    tower = _load_tower(args)
-    ctx = ReductionContext(tower)
-    f = parse_expression(tower, args.expr)
-    t0 = time.perf_counter()
-    res = depth_reduce(ctx, f)
-    ms = (time.perf_counter() - t0) * 1000.0
-    new_spec = res.iso.target
-    gs = format_value(new_spec, res.g)
-    rs = format_value(new_spec, res.r)
-    images = {old.name: format_value(new_spec, img)
-              for old, img in zip(tower.gens, res.iso.images)}
-    doc = {
-        "command": args.command,
-        "tower": args.tower,
-        "inputs": [format_value(tower, f)],
-        "g": gs,
-        "r": rs,
-        "summable": res.summable,
-        "depth_before": res.depth_before,
-        "depth_after": res.depth_after,
-        "generators": _tower_listing(new_spec),
-        "images": images,
-        "timing_ms": round(ms, 3),
-    }
-    human = ["well generated tower:"]
-    for row in doc["generators"]:
-        human.append(f"  gen {row['name']} : {row['delta']}")
-    human += [f"g = {gs}", f"r = {rs}",
-              f"summable: {'yes' if res.summable else 'no'}",
-              f"nesting depth: {res.depth_before} -> {res.depth_after}",
-              f"time: {ms:.1f} ms"]
-    code = _emit(args, doc, human)
-    if args.require_summable and not res.summable:
-        return 1
-    return code
+    tower, ctx, f = _load_input(args)
+    res, ms = _timed(depth_reduce, ctx, f)
+    pair, pair_lines = _pair_out(res.iso.target, res)
+    rebuilt, human = _rebuilt_out(res.iso)
+    human += pair_lines + [
+        f"nesting depth: {res.depth_before} -> {res.depth_after}"]
+    return _finish(args, {"inputs": [format_value(tower, f)], **pair,
+                          "depth_before": res.depth_before,
+                          "depth_after": res.depth_after, **rebuilt},
+                   human, ms, res.summable)
 
 
 def _cmd_verify(args):
-    tower = _load_tower(args)
-    ctx = ReductionContext(tower)
-    f = parse_expression(tower, args.expr)
+    tower, ctx, f = _load_input(args)
     k_from, k_to = _parse_range(args.verify_range)
     if k_from < args.start:
         raise ParseError(f"--verify-range starts at {k_from}, "
@@ -404,39 +357,23 @@ def _cmd_verify(args):
             params=dict(_parse_kv(args.param)))
     except ValueError as e:
         raise ParseError(str(e)) from None
-    t0 = time.perf_counter()
-    res = telescope(ctx, f)
-    report = verify_sigma_pair(tower, f, res, assign, k_from, k_to)
-    ms = (time.perf_counter() - t0) * 1000.0
-    gs, rs = format_value(tower, res.g), format_value(tower, res.r)
-    doc = {
-        "command": args.command,
-        "tower": args.tower,
-        "inputs": [format_value(tower, f)],
-        "g": gs,
-        "r": rs,
-        "summable": res.summable,
-        "verification": {
-            "range": [k_from, k_to],
-            "checked": report.checked,
-            "skipped": report.skipped,
-            "failures": [[k, str(v)] for k, v in report.failures],
-        },
-        "timing_ms": round(ms, 3),
-    }
-    human = [f"g = {gs}", f"r = {rs}",
-             f"summable: {'yes' if res.summable else 'no'}",
-             f"checked {report.checked} points on {k_from}..{k_to}, "
-             f"{report.skipped} skipped, {len(report.failures)} failures"]
-    for k, v in report.failures[:10]:
-        human.append(f"  k = {k}: residual {v}")
-    human.append(f"time: {ms:.1f} ms")
-    code = _emit(args, doc, human)
-    if report.failures:
-        return 2
-    if args.require_summable and not res.summable:
-        return 1
-    return code
+    res, ms = _timed(telescope, ctx, f)
+    report, check_ms = _timed(verify_sigma_pair, tower, f, res, assign,
+                              k_from, k_to)
+    ms += check_ms
+    pair, human = _pair_out(tower, res)
+    human.append(f"checked {report.checked} points on {k_from}..{k_to}, "
+                 f"{report.skipped} skipped, {len(report.failures)} failures")
+    human += [f"  k = {k}: residual {v}" for k, v in report.failures[:10]]
+    code = _finish(args, {"inputs": [format_value(tower, f)], **pair,
+                          "verification": {
+                              "range": [k_from, k_to],
+                              "checked": report.checked,
+                              "skipped": report.skipped,
+                              "failures": [[k, str(v)]
+                                           for k, v in report.failures]}},
+                   human, ms, res.summable)
+    return 2 if report.failures else code
 
 
 def _cmd_bench(args):
@@ -450,12 +387,9 @@ def _cmd_bench(args):
         times = []
         for trial in range(args.trials):
             rng = random.Random(args.seed * 1000003 + degree * 1009 + trial)
-            p = _random_poly(tower, degree, rng)
-            f = tower.delta(p)
-            ctx = ReductionContext(tower)
-            t0 = time.perf_counter()
-            g, r = complete_reduction(ctx, f)
-            times.append((time.perf_counter() - t0) * 1000.0)
+            f = tower.delta(_random_poly(tower, degree, rng))
+            (g, r), ms = _timed(complete_reduction, ReductionContext(tower), f)
+            times.append(ms)
             if not r.is_zero():
                 raise SummationError(
                     f"benchmark reduction left a remainder at degree "
@@ -475,13 +409,7 @@ def _cmd_bench(args):
         human.append(f"degree {degree}: trials {args.trials}, "
                      f"mean {row['mean_ms']} ms, "
                      f"median {row['median_ms']} ms, all summable")
-    doc = {
-        "command": args.command,
-        "tower": args.tower,
-        "seed": args.seed,
-        "bench": table,
-    }
-    return _emit(args, doc, human)
+    return _finish(args, {"seed": args.seed, "bench": table}, human)
 
 
 # name -> (help, argument builder, handler), in the order of the help

@@ -65,9 +65,7 @@ class BasisElement:
         """The basis element as a value at the tower's full depth."""
         out = lift(Fraction(1), tower.full_depth)
         for depth, k, q, m in self.factors:
-            name = ([None] + list(tower.params)
-                    + [g.name for g in tower.gens])[depth]
-            t = lift(tower.var(name), tower.full_depth)
+            t = lift(tower.var(tower.names[depth]), tower.full_depth)
             out = out * t ** k
             if q is not None:
                 qv = RatFunc(q, Poly((one_at(depth - 1),)), depth,

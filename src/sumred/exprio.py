@@ -185,7 +185,7 @@ def _combine(op, v, w):
 
 def format_value(tower, v):
     """Canonical text for a value; parse_expression inverts it exactly."""
-    s, _kind = _fmt(v, _names_by_depth(tower))
+    s, _kind = _fmt(v, tower.names)
     return s
 
 
@@ -193,15 +193,8 @@ def format_poly(tower, p, depth):
     """Canonical text for a bare polynomial in the depth-level variable."""
     if p.is_zero():
         return "0"
-    s, _kind = _fmt_poly(p, depth, _names_by_depth(tower))
+    s, _kind = _fmt_poly(p, depth, tower.names)
     return s
-
-
-def _names_by_depth(tower):
-    names = [None]
-    names.extend(tower.params)
-    names.extend(g.name for g in tower.gens)
-    return names
 
 
 # kinds order the need for parentheses: an ATOM never needs them, a PROD

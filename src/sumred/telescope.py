@@ -31,25 +31,6 @@ DepthReduceResult = namedtuple(
     ["iso", "g", "r", "summable", "depth_before", "depth_after"])
 
 
-class ParamTelescopeBasis:
-    """Rows (c_1, ..., c_m, g) with c_1*f_1 + ... + c_m*f_m = delta(g)."""
-
-    def __init__(self, rows):
-        self.rows = tuple(rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __repr__(self):
-        return f"ParamTelescopeBasis({list(self.rows)!r})"
-
-
 class IsomorphismMap:
     """Field map between two towers, fixed by images of the generators."""
 
@@ -85,7 +66,11 @@ def sigma_check(ctx, a, level=None):
 
 
 def parameterized_telescope(ctx, fs):
-    """Basis of all (c_1, ..., c_m, g) with sum of c_l*f_l equal delta(g)."""
+    """Basis of all (c_1, ..., c_m, g) with sum of c_l*f_l equal delta(g).
+
+    A tuple of BasisRow(coeffs, certificate): first the row of zero
+    coefficients with g = 1, then one row per nullspace vector.
+    """
     tower = ctx.tower
     fs = [tower.lift_to_top(f) for f in fs]
     if not fs:
@@ -104,7 +89,7 @@ def parameterized_telescope(ctx, fs):
             if not _is_zero_val(c):
                 w = w + lift(c, tower.full_depth) * g
         out.append(BasisRow(vec, w))
-    return ParamTelescopeBasis(out)
+    return tuple(out)
 
 
 def substitute(source, v, images, target):

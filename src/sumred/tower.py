@@ -102,9 +102,9 @@ class TowerSpec:
         self.gens = tuple(fixed)
         self.nlevels = len(self.gens)
         self.full_depth = self.nparams + self.nlevels
-        self._by_name = {name: d + 1 for d, name in enumerate(self.params)}
-        for i, gen in enumerate(self.gens):
-            self._by_name[gen.name] = self.nparams + i + 1
+        # the variable's name at each depth, None for the constants
+        self.names = (None,) + self.params + tuple(g.name for g in self.gens)
+        self._by_name = {name: d for d, name in enumerate(self.names) if d}
         self._pows = {}
         self._sums = {}
         # what reduction's contexts share over this tower (factorizations

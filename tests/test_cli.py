@@ -1,12 +1,16 @@
-"""The command line: JSON documents and exit codes."""
+"""The command line: JSON documents, text output and exit codes."""
 
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from sumred import cli
+from sumred.algebra import set_int_cap
 from sumred.exprio import parse_expression
 from sumred.towerfile import load_tower_file
 
@@ -20,6 +24,14 @@ CREATIVE = str(ROOT / "towers" / "creative.tower")
 # both ways and one --seed-reps run; every value in them is canonical, so
 # any change to these strings is a change of behaviour.
 GOLDENS = json.loads((ROOT / "tests" / "data" / "cli_goldens.json").read_text())
+
+# Text output of the argv of GOLDENS and of paths that end in exit 1
+# (--require-summable) or exit 2 (usage errors, verify failures), bench
+# included: stdout and stderr with the time line dropped and every other
+# "<number> ms" masked. An entry with "g_plus" adds that value to the g
+# verify checks, so that its pointwise check fails and prints the report.
+TEXT_GOLDENS = json.loads(
+    (ROOT / "tests" / "data" / "cli_text_goldens.json").read_text())
 
 
 def shifted_pair(k):
@@ -220,6 +232,80 @@ def test_json_documents_match_the_goldens(capsys, monkeypatch, golden):
     doc.pop("timing_ms", None)
     assert code == golden["code"]
     assert doc == golden["doc"]
+
+
+def _masked(text):
+    lines = [ln for ln in text.splitlines() if not ln.startswith("time: ")]
+    return re.sub(r"\d+(\.\d+)? ms\b", "# ms", "\n".join(lines))
+
+
+@pytest.mark.parametrize("golden", TEXT_GOLDENS, ids=[
+    f"{i}-{g['argv'][0]}" for i, g in enumerate(TEXT_GOLDENS)])
+def test_text_output_matches_the_goldens(capsys, monkeypatch, golden):
+    monkeypatch.chdir(ROOT)
+    if "g_plus" in golden:
+        real = cli.telescope
+
+        def shifted(ctx, f):
+            res = real(ctx, f)
+            return res._replace(
+                g=res.g + parse_expression(ctx.tower, golden["g_plus"]))
+
+        monkeypatch.setattr(cli, "telescope", shifted)
+    code = cli.main(golden["argv"])
+    out = capsys.readouterr()
+    assert code == golden["code"]
+    assert _masked(out.out) == golden["stdout"]
+    assert _masked(out.err) == golden["stderr"]
+
+
+@pytest.mark.parametrize("seed,kind,needle", [
+    ("t1", "ParseError", "NAME:EXPR"),
+    ("zz:x", "ParseError", "unknown generators"),
+    ("t1:1/t1", "ParseError", "not a polynomial"),
+    ("x:x+t1", "ParseError", "higher generators"),
+    ("t1:t1^2-1/x^2", "InvalidTowerError", "irreducible"),
+], ids=["no-colon", "unknown-generator", "not-a-polynomial",
+        "higher-generator", "reducible"])
+def test_seed_reps_error_is_a_typed_document(capsys, seed, kind, needle):
+    code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
+                                  "--seed-reps", seed, "--expr", "1/t1"])
+    assert code == 2
+    assert doc["command"] == "reduce"
+    assert doc["error"]["type"] == kind
+    assert needle in doc["error"]["message"]
+
+
+@pytest.fixture
+def clear_int_cap():
+    # main sets the cap from the environment and leaves it set
+    yield
+    set_int_cap(None)
+
+
+@pytest.mark.parametrize("value,kind,needle", [
+    ("abc", "ParseError", "SUMRED_MAX_INT_BITS wants a positive integer"),
+    ("0", "ParseError", "SUMRED_MAX_INT_BITS wants a positive integer"),
+    ("8", "IntegerLimitError", "cap of 8 bits"),
+], ids=["not-a-number", "zero", "cap"])
+def test_int_cap_from_the_environment(capsys, monkeypatch, clear_int_cap,
+                                      value, kind, needle):
+    monkeypatch.setenv("SUMRED_MAX_INT_BITS", value)
+    code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
+                                  "--expr", "1000/t1"])
+    assert code == 2
+    assert doc["error"]["type"] == kind
+    assert needle in doc["error"]["message"]
+
+
+def test_import_ignores_a_malformed_int_cap(monkeypatch):
+    monkeypatch.setenv("SUMRED_MAX_INT_BITS", "abc")
+    code = ("import sumred.algebra, sumred.cli; "
+            "print(sumred.algebra._INT_CAP)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ,
+                                         "PYTHONPATH": str(ROOT / "src")})
+    assert (out.returncode, out.stdout) == (0, "None\n")
 
 
 def test_sigma_check_above_the_top_level_is_a_typed_document(capsys):
