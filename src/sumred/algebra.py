@@ -129,14 +129,15 @@ image format itself. A quadratic with coefficients of depth 0 or 1 it
 splits on the stored integers instead (as_integers), with math.isqrt or
 _zsqrt for the square root of the discriminant.
 
-The optional integer cap (SUMRED_MAX_INT_BITS, which the command line reads
-on each run) is checked on every Poly built, so it covers returned values:
-on the reduced Fraction coefficients at the bottom, and on every integer of
-N and D one level up. It costs one test per Poly when unset. The integers
-inside the kernels and the gcd computations (the pseudo-remainders,
-_qpoly_gcd, the cancellation chains, the ZZ images and the integer images
-of _xgcd_by_image) are not checked, nor are the discriminant of a quadratic
-and its square root in sigmafactor.
+The optional integer cap (SUMRED_MAX_INT_BITS, which the command line
+applies for the duration of each run) is checked on every Poly built, so
+it covers returned values: on the reduced Fraction coefficients at the
+bottom, and on every integer of N and D one level up. It costs one test
+per Poly when unset. The integers inside the kernels and the gcd
+computations (the pseudo-remainders, _qpoly_gcd, the cancellation chains,
+the ZZ images and the integer images of _xgcd_by_image) are not checked,
+nor are the discriminant of a quadratic and its square root in
+sigmafactor.
 """
 
 from __future__ import annotations
@@ -171,13 +172,16 @@ def set_int_cap(bits):
 
 
 def load_int_cap_from_env():
-    """Set the cap from SUMRED_MAX_INT_BITS; unset or empty clears it."""
+    """Set the cap from SUMRED_MAX_INT_BITS (unset or empty clears it) and
+    return the cap it replaced; a malformed value changes nothing."""
     raw = os.environ.get("SUMRED_MAX_INT_BITS")
+    previous = _INT_CAP
     try:
         set_int_cap(int(raw) if raw else None)
     except ValueError:
         raise ParseError(f"SUMRED_MAX_INT_BITS wants a positive integer, "
                          f"got {raw!r}") from None
+    return previous
 
 
 def _guard(n, d):

@@ -27,7 +27,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, load_int_cap_from_env, lower
+from .algebra import (Poly, RatFunc, load_int_cap_from_env, lower,
+                      set_int_cap)
 from .errors import ParseError, SummationError
 from .exprio import format_poly, format_value, parse_expression
 from .reduction import ReductionContext, complete_reduction
@@ -51,8 +52,11 @@ def main(argv=None):
     parser = _build_parser(argv)
     args = parser.parse_args(_join_dash_values(parser, argv))
     try:
-        load_int_cap_from_env()
-        return _SUBCOMMANDS[args.command][2](args)
+        previous = load_int_cap_from_env()
+        try:
+            return _SUBCOMMANDS[args.command][2](args)
+        finally:
+            set_int_cap(previous)
     except (SummationError, ZeroDivisionError) as e:
         doc = {"command": args.command, "error":
                {"type": type(e).__name__, "message": str(e)}}

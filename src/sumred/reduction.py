@@ -18,9 +18,8 @@ tower, for every context on it:
  * the level data: each increment's reduction pair, the pivot coordinate
    of its residue and the echelon rows. These are computed in the tower's
    seed context, which is handed the tower's own data only, never an
-   input, and they are shared, with the reductions that seed context
-   memoised on the way, while its representative lists are still the
-   seed lists. That is exact: every context's lists start with the
+   input, and they are shared while its representative lists are still
+   the seed lists. That is exact: every context's lists start with the
    same seeds in the same order and a class has one representative, so a
    computation that met only seeded classes classifies every factor the
    same way in any context. Once a lookup meets an unseeded class (an
@@ -31,10 +30,12 @@ tower, for every context on it:
 The split into a polynomial part and a proper part is preserved by the
 shift, so the two reduce independently:
 
- * proper parts: the denominator factors into shifted representative
-   powers, a partial-fraction pass isolates each one, and a telescoping
-   chain moves every factor to shift zero. What stays is not a difference
-   unless it cancels completely.
+ * proper parts: the denominator factors into irreducible powers irr^m,
+   each irr = sigma^s(rep) for its class representative, and a
+   partial-fraction pass isolates the piece over each. A piece is
+   sigma^s(e) for e = sigma^(-s)(piece) over rep^m: e joins the remainder,
+   and sigma^s(e) - e = sigma(h) - h for the orbit sum h = sigma_sum(e, s)
+   joins g. What stays is not a difference unless it cancels completely.
  * polynomial parts: coefficient-wise reduction below the level (the
    auxiliary pass), then elimination of the summable residue against an
    echelon basis whose rows are exact differences with known remainders.
@@ -52,7 +53,6 @@ from .algebra import (
     frac_at,
     lift,
     one_at,
-    poly_sort_key,
     vdepth,
     zero_at,
 )
@@ -79,8 +79,8 @@ class ReductionContext:
     """Session state for reductions over one tower.
 
     Per context: reps, notes, the classification cache and the memo. Per
-    tower: factorizations, and the first pairs, second pairs, echelon rows
-    and memo of the tower's seed context while that context has met seeded
+    tower: factorizations, and the first pairs, second pairs and echelon
+    rows of the tower's seed context while that context has met seeded
     classes only (see the module docstring for why that is exact).
     """
 
@@ -126,10 +126,11 @@ class ReductionContext:
         return hit
 
     def classify_den(self, den, depth):
-        """Factor den and name each irreducible as (representative, shift, mult).
+        """Factor den into (irr, mult, rep, shift) with irr = sigma^shift(rep),
+        one per irreducible, in the order the factorization lists them.
 
         Unmatched irreducibles become new representatives at shift zero, in
-        the deterministic order the factorization lists them.
+        that same order.
         """
         key = (depth, den)
         hit = self._classify_cache.get(key)
@@ -139,18 +140,15 @@ class ReductionContext:
         reps = self.reps[level]
         out = []
         for irr, mult in self.factor(den, depth):
-            placed = False
             for rep in reps:
-                k = shift_equivalence(self, rep, irr, depth)
-                if k is not None:
-                    out.append((rep, k, mult))
-                    placed = True
+                shift = shift_equivalence(self, rep, irr, depth)
+                if shift is not None:
                     break
-            if not placed:
+            else:
                 reps.append(irr)
                 self.notes.append(("new-representative", level, irr))
-                out.append((irr, 0, mult))
-        out.sort(key=_component_key)
+                rep, shift = irr, 0
+            out.append((irr, mult, rep, shift))
         out = tuple(out)
         self._classify_cache[key] = out
         return out
@@ -225,47 +223,34 @@ class ReductionContext:
         return table
 
 
-def _component_key(comp):
-    rep, shift, _mult = comp
-    return (rep.degree(), poly_sort_key(rep), shift)
-
-
 # ---------------------------------------------------------------------------
 # proper part
 # ---------------------------------------------------------------------------
 
 
 def reduce_proper(ctx, f, depth):
-    """Reduce a proper fraction; returns (g, r) as values at the same depth.
+    """Reduce a proper fraction in lowest terms; returns (g, r) as values at
+    the same depth.
 
-    Every denominator factor is moved to shift zero through a telescoping
-    chain; the recombined shift-zero leftovers form the remainder.
+    The numerator splits over the powers irr^m of the denominator. With
+    irr = sigma^s(rep), the piece over irr^m is sigma^s(e) for e over rep^m.
+    r is the sum of the e's and g the sum of their orbit sums
+    h = sigma_sum(e, s), since sigma^s(e) - e = sigma(h) - h.
     """
     zero = zero_at(depth)
     if f.num.is_zero():
         return zero, zero
+    tower = ctx.tower
     comps = ctx.classify_den(f.den, depth)
-    moduli = [ctx.tower.sigma_poly(rep ** mult, depth, shift)
-              for rep, shift, mult in comps]
-    pieces = coprime_split(f.num, moduli)
-    g = zero
-    r = zero
-    for (_rep, shift, _mult), num, modulus in zip(comps, pieces, moduli):
-        if num.is_zero():
-            continue
-        # num/modulus is sigma^s(e), s = shift, for e over rep^mult. Step
-        # it back to e: sigma^s(e) - e = sigma(h) - h with h the sum of
-        # sigma^j(e) over 0 <= j < s (for s < 0, minus the sum over
-        # s <= j < 0), and those are the terms passed on the way
-        term = RatFunc(num, modulus, depth, _trusted=True)
-        step = -1 if shift > 0 else 1
-        for _i in range(abs(shift)):
-            if shift < 0:
-                g = g - term
-            term = ctx.tower.sigma(term, step)
-            if shift > 0:
-                g = g + term
-        r = r + term
+    pieces = coprime_split(f.num, [irr ** mult for irr, mult, _r, _s in comps])
+    g = r = zero
+    for (_irr, mult, rep, shift), num in zip(comps, pieces):
+        # f is in lowest terms, so num is coprime to irr; sigma^(-s) keeps
+        # it coprime to rep, and rep is monic
+        e = RatFunc(tower.sigma_poly(num, depth, -shift), rep ** mult, depth,
+                    _trusted=True)
+        g = g + tower.sigma_sum(e, shift)
+        r = r + e
     return g, r
 
 
@@ -324,10 +309,6 @@ def reduce_polynomial(ctx, p, depth):
 # ---------------------------------------------------------------------------
 
 
-def _seed_memo(seed, f, depth):
-    return seed._memo.get(depth, {}).get(f)
-
-
 def complete_reduction(ctx, f, depth=None):
     """Split f into (g, r): f = shift(g) - g + r with r canonical.
 
@@ -341,8 +322,6 @@ def complete_reduction(ctx, f, depth=None):
         return (zero_at(vdepth(f)), f)
     table = ctx.memo(depth)
     hit = table.get(f)
-    if hit is None:
-        hit = ctx._from_seeds(_seed_memo, f, depth)
     if hit is not None:
         return hit
     poly, proper = ctx.tower.split_poly_proper(f)

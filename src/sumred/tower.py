@@ -8,12 +8,13 @@ parameters, depth nparams+i is generator i, so a value of depth
 nparams + i lives in C(t_1, ..., t_i).
 
 The k-fold shift is one substitution at every level: sigma^k(t_i) =
-t_i + S_k, where S_k is the sum of sigma^j(a_i) over 0 <= j < k (for k < 0,
-minus the sum over k <= j < 0), so sigma^k(sum c_j t_i^j) is the sum of
-sigma^k(c_j) (t_i + S_k)^j. At level 1 the increment and the coefficients
-lie in C, which the shift fixes, so there S_k = k*a_1 in closed form and the
-coefficients are used as they are. Sums S_k above level 1 are cached per
-level and k.
+t_i + S_k with S_k = sigma_sum(a_i, k), the orbit sum of sigma^j(a_i) over
+0 <= j < k (for k < 0, minus the sum over k <= j < 0), so
+sigma^k(sum c_j t_i^j) is the sum of sigma^k(c_j) (t_i + S_k)^j. At level 1
+the increment and the coefficients lie in C, which the shift fixes, so
+there S_k = k*a_1 in closed form and the coefficients are used as they are.
+The sums S_k are cached per level and k. The same orbit sum is the
+certificate of a proper part in the reduction module.
 
 Polynomials whose coefficients are stored as integers (depth 1 and 2, see
 the algebra module) are shifted on those integers in one call
@@ -204,21 +205,29 @@ class TowerSpec:
 
     def _shift_sum(self, depth, k):
         """S_k with sigma^k(t) = t + S_k for the depth-level variable t,
-        cached above level 1."""
-        a = self.gens[depth - self.nparams - 1].delta
-        if depth - 1 <= self.nparams:
-            return a * k
-        total = self._sums.get((depth, k))
-        if total is not None:
-            return total
-        # k < 0 sums the terms -sigma^j(a) for j = -1 down to k
+        cached."""
+        key = (depth, k)
+        total = self._sums.get(key)
+        if total is None:
+            a = self.gens[depth - self.nparams - 1].delta
+            total = self._sums[key] = self.sigma_sum(a, k)
+        return total
+
+    def sigma_sum(self, v, k):
+        """The orbit sum h with sigma(h) - h = sigma^k(v) - v: the sum of
+        sigma^j(v) over 0 <= j < k, for k < 0 minus the sum over k <= j < 0.
+        It is k*v when the shift fixes v, and zero at k = 0."""
+        if vdepth(v) <= self.nparams:
+            return v * k
+        if k == 0:
+            return zero_at(v.depth)
+        # k < 0 sums the terms -sigma^j(v) for j = -1 down to k
         step = 1 if k > 0 else -1
-        term = a if k > 0 else -self.sigma(a, -1)
+        term = v if k > 0 else -self.sigma(v, -1)
         total = term
         for _ in range(abs(k) - 1):
             term = self.sigma(term, step)
             total = total + term
-        self._sums[(depth, k)] = total
         return total
 
     def delta(self, v):

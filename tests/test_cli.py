@@ -5,14 +5,18 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sumred import cli
+from sumred import algebra, cli
 from sumred.algebra import set_int_cap
+from sumred.errors import IntegerLimitError
 from sumred.exprio import parse_expression
 from sumred.towerfile import load_tower_file
+
+from conftest import H_TOWER
 
 ROOT = Path(__file__).resolve().parent.parent
 HARMONIC = str(ROOT / "towers" / "harmonic.tower")
@@ -276,26 +280,36 @@ def test_seed_reps_error_is_a_typed_document(capsys, seed, kind, needle):
     assert needle in doc["error"]["message"]
 
 
-@pytest.fixture
-def clear_int_cap():
-    # main sets the cap from the environment and leaves it set
-    yield
-    set_int_cap(None)
-
-
 @pytest.mark.parametrize("value,kind,needle", [
     ("abc", "ParseError", "SUMRED_MAX_INT_BITS wants a positive integer"),
     ("0", "ParseError", "SUMRED_MAX_INT_BITS wants a positive integer"),
     ("8", "IntegerLimitError", "cap of 8 bits"),
 ], ids=["not-a-number", "zero", "cap"])
-def test_int_cap_from_the_environment(capsys, monkeypatch, clear_int_cap,
-                                      value, kind, needle):
+def test_int_cap_from_the_environment(capsys, monkeypatch, value, kind,
+                                      needle):
     monkeypatch.setenv("SUMRED_MAX_INT_BITS", value)
     code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
                                   "--expr", "1000/t1"])
     assert code == 2
     assert doc["error"]["type"] == kind
     assert needle in doc["error"]["message"]
+    # the environment's cap held for that run only
+    assert algebra._INT_CAP is None
+    Fraction(2) ** 100 * parse_expression(H_TOWER, "x")
+
+
+def test_main_keeps_the_callers_int_cap(capsys, monkeypatch):
+    monkeypatch.delenv("SUMRED_MAX_INT_BITS", raising=False)
+    set_int_cap(64)
+    try:
+        code, _doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
+                                       "--expr", "1/t1"])
+        assert code == 0
+        assert algebra._INT_CAP == 64
+        with pytest.raises(IntegerLimitError):
+            Fraction(2) ** 100 * parse_expression(H_TOWER, "x")
+    finally:
+        set_int_cap(None)
 
 
 def test_import_ignores_a_malformed_int_cap(monkeypatch):

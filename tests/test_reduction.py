@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sumred.algebra import Poly, RatFunc, drop, lift, one_at, zero_at
+from sumred.algebra import (Poly, RatFunc, coprime_split, drop, lift, lower,
+                            one_at, zero_at)
 from sumred import reduction
 from sumred.effbasis import BASIS_ONE, coordinate_of
 from sumred.reduction import (ReductionContext, auxiliary_reduction,
@@ -54,6 +55,79 @@ def test_proper_reduction_golden():
     gx, hx = reduce_proper(ctx, fx, 1)
     assert lift(gx, 2) == parse(H_TOWER, "1/x")
     assert lift(hx, 2) == parse(H_TOWER, "1/x")
+
+
+def _chain_reduce_proper(ctx, f, depth):
+    """reduce_proper as a stepping chain, for reference: each piece over
+    sigma^s(rep)^m is shifted back to rep one step at a time, and the terms
+    passed on the way are g's."""
+    tower = ctx.tower
+    zero = zero_at(depth)
+    comps = ctx.classify_den(f.den, depth)
+    moduli = [tower.sigma_poly(rep ** mult, depth, shift)
+              for _irr, mult, rep, shift in comps]
+    g = r = zero
+    for (_irr, _m, _rep, shift), num, modulus in zip(
+            comps, coprime_split(f.num, moduli), moduli):
+        term = RatFunc(num, modulus, depth, _trusted=True)
+        step = -1 if shift > 0 else 1
+        for _ in range(abs(shift)):
+            if shift < 0:
+                g = g - term
+            term = tower.sigma(term, step)
+            if shift > 0:
+                g = g + term
+        r = r + term
+    return g, r
+
+
+# per level: representatives, then coefficient texts from the field below
+_CHAIN_POOLS = {
+    1: (("x", "x^2 + 1"), ("1", "-3", "5/2")),
+    2: (("t1", "t1^2 + x"), ("1", "x", "2/(x+3)")),
+    3: (("t2", "t2 + 1/x"), ("1", "t1", "x/(t1+1)")),
+}
+
+
+@pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, P_TOWER],
+                         ids=["H", "N", "P"])
+def test_proper_part_matches_the_stepping_chain(tower):
+    # pieces over sigma^s(rep)^m, s in -4..4 and m in 1..2, two to a value
+    # so that the split matters, all in one context
+    rng = random.Random(1818)
+    ctx = ReductionContext(tower)
+    for level in range(1, tower.nlevels + 1):
+        depth = tower.depth_of_level(level)
+        rep_texts, coeff_texts = _CHAIN_POOLS[level]
+        reps = [lower(parse(tower, t), depth).num for t in rep_texts]
+        for rep in reps:
+            ctx.classify_den(rep, depth)
+        coeffs = [lower(parse(tower, t), depth - 1) for t in coeff_texts]
+        for _ in range(3):
+            f = zero_at(depth)
+            for _ in range(2):
+                rep, s = rng.choice(reps), rng.randint(-4, 4)
+                den = tower.sigma_poly(rep, depth, s) ** rng.randint(1, 2)
+                num = Poly(tuple(rng.choice(coeffs)
+                                 for _ in range(den.degree())))
+                f = f + RatFunc(num, den, depth)
+            assert reduce_proper(ctx, f, depth) == _chain_reduce_proper(
+                ctx, f, depth)
+
+
+def test_sigma_sum_is_the_orbit_sum():
+    n_v = parse(N_TOWER, "t2/(t1 + 1) + x*t1")
+    fixed = parse(P_TOWER, "n^2 + 1")
+    cases = [(H_TOWER, parse(H_TOWER, "1/t1 + x*t1")), (N_TOWER, n_v),
+             (P_TOWER, parse(P_TOWER, "t1/(x + n)")),
+             (P_TOWER, lower(fixed, 1)), (H_TOWER, Fraction(3))]
+    for tower, v in cases:
+        for k in range(-3, 4):
+            h = tower.sigma_sum(v, k)
+            assert tower.sigma(h) - h == tower.sigma(v, k) - v
+    assert _is_zero(N_TOWER.sigma_sum(n_v, 0))
+    # the shift fixes a constant: its orbit sum is k*v
+    assert P_TOWER.sigma_sum(lower(fixed, 1), -5) == lower(fixed, 1) * -5
 
 
 def test_auxiliary_reduction_golden():
@@ -208,12 +282,12 @@ def test_sigma_pair_exactness():
         assert_sigma_pair(N_TOWER, f, g, r)
 
 
-@pytest.mark.parametrize("k", [6, 10, -6])
+@pytest.mark.parametrize("k", [6, 10, -6, 12, -12])
 def test_sigma_pair_of_shifted_reciprocal(k):
     # sigma^k(1/t1) - 1/t1 = delta(sum_{j<k} sigma^j(1/t1)); reducing it
     # takes depth-2 gcds of degree about |k| in t1 over Q(x). With k < 0,
     # sigma^k(t1) = t1 - 1/x - 1/(x-1) - ... - 1/(x+k+1), and t1 stays
-    # the representative, so the chain runs with a negative shift
+    # the representative, so its piece is moved by a negative shift
     if k > 0:
         shift = " + ".join(f"1/(x+{j})" for j in range(1, k + 1))
     else:

@@ -1,0 +1,115 @@
+"""Printed (g, r) and noted representatives of fixed library inputs.
+
+tests/data/reduction_goldens.json holds, for every case, the canonical text
+of g and r from complete_reduction and the new representatives its context
+noted. The cases are:
+
+ * shift: sigma^k(1/t1) - 1/t1 on the harmonic tower, k = +-1..+-8, each in
+   a fresh context;
+ * nested: level-2 shifts on the nested tower, all in one context, so that
+   later inputs meet earlier representatives at nonzero shifts;
+ * fresh / shared: seeded random values on five towers, each value once in
+   a fresh context and once in one context shared by the tower's values.
+
+Every context is made on a fresh copy of its tower, so nothing another test
+left in a tower's caches reaches these results. To rewrite the file after
+an intended change of output:
+
+    PYTHONPATH=src:tests python3 tests/test_reduction_goldens.py --write
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+from sumred.exprio import format_poly, format_value
+from sumred.reduction import ReductionContext, complete_reduction
+from sumred.tower import TowerSpec
+from sumred.towerfile import load_tower_file, parse_tower_text
+
+from conftest import B_TOWER, H_TOWER, N_TOWER, P_TOWER, parse, rand_value
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "tests" / "data" / "reduction_goldens.json"
+
+_RANDOM_TOWERS = {
+    "H": H_TOWER,
+    "N": N_TOWER,
+    "B": B_TOWER,
+    "P": P_TOWER,
+    "unseeded": parse_tower_text("gen x : 1\ngen t1 : 1/(x+1)\n"),
+}
+
+
+def _copy(tower):
+    return TowerSpec(tower.gens, params=tower.params)
+
+
+def _printed(ctx, f):
+    tower = ctx.tower
+    before = len(ctx.notes)
+    g, r = complete_reduction(ctx, f)
+    notes = [f"level {level}: "
+             + format_poly(tower, irr, tower.depth_of_level(level))
+             for _kind, level, irr in ctx.notes[before:]]
+    return {"g": format_value(tower, g), "r": format_value(tower, r),
+            "notes": notes}
+
+
+def _shift_cases():
+    harmonic = load_tower_file(ROOT / "towers" / "harmonic.tower")
+    for k in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8):
+        tower = _copy(harmonic)
+        inv = parse(tower, "1/t1")
+        f = tower.sigma(inv, k) - inv
+        yield f"shift {k}", _printed(ReductionContext(tower), f)
+
+
+def _nested_cases():
+    tower = _copy(load_tower_file(ROOT / "towers" / "nested.tower"))
+    ctx = ReductionContext(tower)
+    quad = parse(tower, "t1^2 + x")
+    lin = parse(tower, "t1 + 1/x")
+    for k in (2, -1, 5, -4, 0, 3):
+        v = (parse(tower, "x*t2 + 1/(x+2)")
+             + 3 / tower.sigma(quad, k) + tower.sigma(lin, -k) / (k + 7))
+        yield f"nested delta {k}", _printed(ctx, tower.delta(v))
+    for k in (1, -2):
+        f = (parse(tower, "t2") / tower.sigma(quad, k)
+             + parse(tower, "x") / tower.sigma(lin, k + 1))
+        yield f"nested rest {k}", _printed(ctx, f)
+
+
+def _random_cases():
+    for seed, (name, tower) in enumerate(_RANDOM_TOWERS.items(), 1800):
+        rng = random.Random(seed)
+        values = [rand_value(tower, rng) for _ in range(4)]
+        shared = ReductionContext(_copy(tower))
+        for i, f in enumerate(values):
+            yield (f"fresh {name} {i}",
+                   _printed(ReductionContext(_copy(tower)), f))
+            yield f"shared {name} {i}", _printed(shared, f)
+
+
+def compute():
+    """Every case as {"id", "g", "r", "notes"}, in a fixed order."""
+    out = []
+    for cases in (_shift_cases, _nested_cases, _random_cases):
+        for case_id, printed in cases():
+            out.append({"id": case_id, **printed})
+    return out
+
+
+def test_library_outputs_match_the_goldens():
+    expected = json.loads(GOLDENS.read_text())
+    got = compute()
+    assert [c["id"] for c in got] == [c["id"] for c in expected]
+    for have, want in zip(got, expected):
+        assert have == want, have["id"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_reduction_goldens.py --write")
+    GOLDENS.write_text(json.dumps(compute(), indent=1) + "\n")

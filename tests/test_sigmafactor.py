@@ -37,6 +37,15 @@ def _lin2(const_text):
     return Poly((parse(Q_TOWER, const_text), one_at(1)))
 
 
+def _classified(ctx, den, depth):
+    """ctx.classify_den(den, depth), each irr checked against
+    sigma^shift(rep)."""
+    comps = ctx.classify_den(den, depth)
+    for irr, _mult, rep, shift in comps:
+        assert irr == ctx.tower.sigma_poly(rep, depth, shift)
+    return comps
+
+
 def test_shift_equivalence_is_exact_at_the_bottom_level():
     ctx = ReductionContext(Q_TOWER)
     p = _q(1, 1, 1)
@@ -79,7 +88,7 @@ def test_classify_places_far_shifts_in_the_class(tower_file, expr, depth, ks):
     assert ctx.reps[depth - tower.nparams][-1] == p
     for k in ks:
         q = tower.sigma_poly(p, depth, k)
-        assert ctx.classify_den(q, depth) == ((p, k, 1),)
+        assert _classified(ctx, q, depth) == ((q, 1, p, k),)
 
 
 def test_false_far_candidate_is_rejected_without_the_shift_sum():
@@ -89,7 +98,7 @@ def test_false_far_candidate_is_rejected_without_the_shift_sum():
     ctx.classify_den(T1, 2)
     q = _lin2("2560/(x+1)")
     started = time.process_time()
-    assert ctx.classify_den(q, 2) == ((q, 0, 1),)
+    assert _classified(ctx, q, 2) == ((q, 1, q, 0),)
     assert time.process_time() - started < 1.0
     assert ctx.reps[2] == [T1, q]
 
@@ -108,7 +117,7 @@ def test_unit_shift_is_confirmed_without_the_difference_test(monkeypatch, k):
 
     monkeypatch.setattr(H_TOWER, "delta", no_delta)
     assert shift_equivalence(ctx, T1, q, 2) == k
-    assert ctx.classify_den(q, 2) == ((T1, k, 1),)
+    assert _classified(ctx, q, 2) == ((q, 1, T1, k),)
 
 
 @pytest.mark.parametrize("tower_file,other", [
@@ -120,8 +129,8 @@ def test_classify_keeps_unrelated_linear_factors_apart(tower_file, other):
     t1 = parse(tower, "t1").num
     q = parse(tower, other).num
     ctx = ReductionContext(tower)
-    assert ctx.classify_den(t1, tower.full_depth) == ((t1, 0, 1),)
-    assert ctx.classify_den(q, tower.full_depth) == ((q, 0, 1),)
+    assert _classified(ctx, t1, tower.full_depth) == ((t1, 1, t1, 0),)
+    assert _classified(ctx, q, tower.full_depth) == ((q, 1, q, 0),)
     assert ctx.reps[2] == [t1, q]
 
 
@@ -153,13 +162,15 @@ def test_factor_monic_takes_a_linear_polynomial_as_it_is(monkeypatch):
 def test_factor_monic_uses_seeded_representatives():
     spec = parse_tower_text("gen x : 1\nseed x : x^2 + 1\n")
     rep = _q(1, 0, 1)
-    p = spec.sigma_poly(rep, 1, 2) * spec.sigma_poly(rep, 1, -1)
+    ahead, behind = spec.sigma_poly(rep, 1, 2), spec.sigma_poly(rep, 1, -1)
+    p = ahead * behind
     facs = factor_monic(p)
     assert _product(facs, Fraction(1)) == p
     assert sorted(m for _f, m in facs) == [1, 1]
     # the seeded representative names both shifted copies
     ctx = ReductionContext(spec)
-    assert ctx.classify_den(p, 1) == ((rep, -1, 1), (rep, 2, 1))
+    assert _classified(ctx, p, 1) == ((behind, 1, rep, -1),
+                                      (ahead, 1, rep, 2))
     assert ctx.notes == []
 
 
@@ -177,12 +188,14 @@ def test_factor_monic_level_two_quadratics():
 def test_factor_monic_level_two_cubic_with_covering_rep():
     spec = parse_tower_text(
         "gen x : 1\nseed x : x\ngen t1 : 1/(x+1)\nseed t1 : t1\n")
-    p = T1 * spec.sigma_poly(T1, 2, 1) * spec.sigma_poly(T1, 2, -1)
+    ahead, behind = spec.sigma_poly(T1, 2, 1), spec.sigma_poly(T1, 2, -1)
+    p = T1 * ahead * behind
     facs = factor_monic(p)
     assert _product(facs, one_at(1)) == p
     assert len(facs) == 3
     ctx = ReductionContext(spec)
-    assert ctx.classify_den(p, 2) == ((T1, -1, 1), (T1, 0, 1), (T1, 1, 1))
+    assert _classified(ctx, p, 2) == ((T1, 1, T1, 0), (behind, 1, T1, -1),
+                                      (ahead, 1, T1, 1))
 
 
 def test_factor_monic_splits_any_degree_above_bottom():
