@@ -7,12 +7,22 @@ Evaluation poles mark single points; a pole inside an increment poisons
 that generator from the next index on, since its later values are no
 longer defined.
 
-The pointwise check of a sigma-pair walks one orbit and reads f, g and r
-off it at each index, g once more at the index after the last. A value is
-evaluated on integer (numerator, denominator) pairs that are never reduced:
-each polynomial clears its coefficients' denominators with one lcm and runs
-a homogenised integer Horner, so no gcd is taken per step. The check
-decides f(k) - g(k+1) + g(k) - r(k) = 0 on those unreduced pairs by
+A value is evaluated by a function compiled from it once (_compile), which
+walks the stored form a single time and is then called at every index. It
+works on integer (numerator, denominator) pairs that are never reduced, so
+no gcd is taken per step: a bottom-level polynomial is its integer
+numerators over one denominator, a depth-2 one its Z[x] numerators over
+one Z[x] denominator (all taken at the depth-1 variable x, padded to one
+degree so that the powers of x's denominator cancel), and a deeper one
+its compiled coefficients over the lcm of their denominators. Each runs a
+Horner that is homogenised only when the point is not an integer; a
+constant compiles to its coefficient. The coefficient view of a depth-2
+polynomial (one gcd per coefficient) is built only once x is poisoned.
+
+The pointwise check of a sigma-pair compiles f, g and r, walks one orbit
+(whose generator increments are compiled with it) and reads f, g and r off
+it at each index, g once more at the index after the last. It decides
+f(k) - g(k+1) + g(k) - r(k) = 0 on the unreduced pairs by
 cross-multiplying, and builds one reduced Fraction only for an index where
 it fails, the residual the report lists.
 """
@@ -21,7 +31,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, vdepth
+from .algebra import Poly, RatFunc
 from .telescope import nullspace_basis
 
 
@@ -79,40 +89,44 @@ class _Orbit:
     """Mutable model of all generator values at one index."""
 
     def __init__(self, tower, assign):
-        self.tower = tower
         self.k = assign.start
         self.vals = {}
         for d, p in enumerate(tower.params, start=1):
             self.vals[d] = assign.params[p]
         for i, gen in enumerate(tower.gens, start=1):
             self.vals[tower.nparams + i] = assign.inits[gen.name]
+        self.incs = [(tower.nparams + i, _compile(gen.delta))
+                     for i, gen in enumerate(tower.gens, start=1)]
 
     def step(self):
-        tower = self.tower
-        incs = []
-        for gen in tower.gens:
-            try:
-                incs.append(_eval_at(gen.delta, self.vals))
-            except _Pole:
-                incs.append(None)
-        for i, a in enumerate(incs, start=1):
-            d = tower.nparams + i
-            cur = self.vals[d]
-            self.vals[d] = None if cur is None or a is None else cur + a
+        vals = self.vals
+        new = []
+        for d, inc in self.incs:
+            cur = vals[d]
+            if cur is not None:
+                try:
+                    n, m = inc(vals)
+                except _Pole:
+                    cur = None
+                else:
+                    cur = Fraction(cur.numerator * m + n * cur.denominator,
+                                   cur.denominator * m)
+            new.append((d, cur))
+        vals.update(new)
         self.k += 1
 
     def advance_to(self, k):
         while self.k < k:
             self.step()
 
-    def value(self, f):
-        p = self.pair(f)
+    def value(self, ev):
+        p = self.pair(ev)
         return p if p is POLE else Fraction(*p)
 
-    def pair(self, f):
-        """(n, d) with f = n / d here, unreduced, or POLE."""
+    def pair(self, ev):
+        """(n, d) with ev's value = n / d here, unreduced, or POLE."""
         try:
-            return _pair_at(f, self.vals)
+            return ev(self.vals)
         except _Pole:
             return POLE
 
@@ -130,11 +144,14 @@ def _orbit_from(tower, assign, k_from, k_to):
 
 def eval_sequence(tower, f, assign, k_from, k_to):
     """Exact values of f at k_from..k_to along the orbit, poles marked."""
+    return _walk(tower, _compile(f), assign, k_from, k_to)
+
+
+def _walk(tower, ev, assign, k_from, k_to):
     orbit = _orbit_from(tower, assign, k_from, k_to)
-    f = tower.lift_to_top(f)
     out = []
     for k in range(k_from, k_to + 1):
-        out.append((k, orbit.value(f)))
+        out.append((k, orbit.value(ev)))
         if k < k_to:
             orbit.step()
     return out
@@ -147,7 +164,7 @@ VerifyPairReport = namedtuple(
 def verify_sigma_pair(tower, f, pair, assign, k_from, k_to):
     """Check f(k) = g(k+1) - g(k) + r(k) at every non-pole index."""
     orbit = _orbit_from(tower, assign, k_from, k_to)
-    f, g, r = (tower.lift_to_top(v) for v in (f, pair[0], pair[1]))
+    f, g, r = (_compile(v) for v in (f, pair[0], pair[1]))
     g_next = orbit.pair(g)
     checked = skipped = 0
     failures = []
@@ -184,6 +201,8 @@ def verify_recurrence(tower, coeffs, f, assign, n_from, n_to,
         if len(tower.params) != 1:
             raise ValueError("name the recurrence parameter explicitly")
         param = tower.params[0]
+    f = _compile(f)
+    coeffs = [_compile(c) for c in coeffs]
     residuals = []
     for n0 in range(n_from, n_to + 1):
         total = Fraction(0)
@@ -239,91 +258,150 @@ def _try_fit(points, dp, dq):
     return None
 
 
-def _direct_sum(tower, f, assign, param, upper, lower):
+def _direct_sum(tower, ev, assign, param, upper, lower):
     if upper < lower:
         return Fraction(0)
     sub = SequenceAssignment(tower, start=assign.start, inits=assign.inits,
                              params={**assign.params, param: Fraction(upper)})
     total = Fraction(0)
-    for _k, v in eval_sequence(tower, f, sub, lower, upper):
+    for _k, v in _walk(tower, ev, sub, lower, upper):
         if v is POLE:
             return None
         total += v
     return total
 
 
-def _const_at(tower, c, pvals):
-    """A constant-level value at given parameter values, None on a pole."""
-    if isinstance(c, Fraction):
-        return c
+def _const_at(tower, ev, pvals):
+    """The value of a compiled constant-level value at given parameter
+    values, None on a pole."""
     vals = {d: pvals[p] for d, p in enumerate(tower.params, start=1)}
     try:
-        return _eval_at(c, vals)
+        return Fraction(*ev(vals))
     except _Pole:
         return None
 
 
 def _eval_at(v, vals):
-    """The Fraction v takes at vals; see _pair_at."""
-    return Fraction(*_pair_at(v, vals))
+    """The Fraction v takes at vals; see _compile."""
+    return Fraction(*_compile(v)(vals))
 
 
-def _pair_at(v, vals):
-    """(n, d) with v = n / d at vals (depth -> Fraction, None once
-    poisoned); d != 0, and neither is reduced nor signed.
+def _compile(v):
+    """The evaluator of v: a function that maps vals (depth -> Fraction,
+    None once poisoned) to (n, d) with v = n / d there; d != 0, and neither
+    is reduced nor signed.
 
-    Raises _Pole when a denominator evaluates to 0, or when a polynomial of
-    positive degree (or the zero polynomial) meets a poisoned variable.
+    The function raises _Pole when a denominator evaluates to 0, or when a
+    polynomial of positive degree (or the zero polynomial) meets a
+    poisoned variable.
     """
-    def val(u, depth):
-        # (n, d) with u = n / d and d != 0, neither reduced nor signed
-        if isinstance(u, Fraction):
-            return u.numerator, u.denominator
-        n, d = pol(u.num, depth)
-        if u.den.degree() == 0:  # a canonical denominator: 1
-            return n, d
-        dn, dd = pol(u.den, depth)
+    if isinstance(v, Fraction):
+        pair = v.numerator, v.denominator
+        return lambda vals: pair
+    num = _compile_poly(v.num, v.depth)
+    if v.den.degree() == 0:  # a canonical denominator: 1
+        return num
+    den = _compile_poly(v.den, v.depth)
+
+    def quotient(vals):
+        dn, dd = den(vals)
         if not dn:
             raise _Pole
+        n, d = num(vals)
         return n * dd, d * dn
+    return quotient
 
-    def pol(p, depth):
+
+def _compile_poly(p, depth):
+    """The evaluator of the polynomial p in the variable at depth."""
+    deg = p.degree()
+    if deg < 0:
+        def zero(vals):
+            if vals.get(depth) is None:
+                raise _Pole
+            return 0, 1
+        return zero
+    if depth == 1:
+        # Fraction coefficients: their numerators over one denominator
+        nums, den = p.as_integers()
+        if not deg:
+            pair = nums[0], den
+            return lambda vals: pair
+        rev = nums[::-1]
+
+        def bottom(vals):
+            point = vals.get(1)
+            if point is None:
+                raise _Pole
+            acc, w = _horner(rev, point)
+            return acc, den * w
+        return bottom
+    if depth == 2:
+        return _compile_zx(p, deg)
+    if not deg:  # a constant: whatever the variable, its coefficient
+        return _compile(p.coeffs[0])
+    coeffs = [_compile(c) for c in reversed(p.coeffs)]
+
+    def upper(vals):
         point = vals.get(depth)
         if point is None:
-            if p.degree() == 0:
-                return val(p.coeff(0), depth - 1)
             raise _Pole
-        if p.is_zero():
-            return 0, 1
-        below = vals.get(depth - 1)
-        if depth == 1:
-            # Fraction coefficients: their numerators over one denominator
-            nums, den = p.as_integers()
-        elif depth == 2 and below is not None:
-            # Z[x] numerators over one Z[x] denominator, each taken at x
-            cs, ds = p.as_integers()
-            dn, dw = hom(ds, below)
-            if not dn:
-                raise _Pole
-            pairs = [hom(c, below) if c else (0, 1) for c in cs]
-            top = max(w for _n, w in pairs)  # powers of one denominator
-            nums = [n * (top // w) * dw for n, w in pairs]
-            den = dn * top
-        else:
-            pairs = [val(c, depth - 1) for c in p.coeffs]
-            den = math.lcm(*(d for _n, d in pairs))
-            nums = [n * (den // d) for n, d in pairs]
-        acc, w = hom(nums, point)
-        return acc, den * w
+        return _combine([c(vals) for c in coeffs], point)
+    return upper
 
-    def hom(nums, point):
-        # (y^deg * p(x / y), y^deg) for point = x / y, Horner on
-        # homogenised integers
-        x, y = point.numerator, point.denominator
-        acc, w = nums[-1], 1
-        for n in reversed(nums[:-1]):
-            w *= y
-            acc = acc * x + n * w
-        return acc, w
 
-    return val(v, vdepth(v))
+def _compile_zx(p, deg):
+    """The evaluator of p at depth 2, whose coefficients are Z[x]
+    numerators over one Z[x] denominator. All of them are padded to one
+    degree, so that at x = a / b each is b^width times its value and the
+    powers of b cancel. The coefficient view (one gcd per coefficient) is
+    built only once x is poisoned."""
+    cs, ds = p.as_integers()
+    width = max(len(ds), *map(len, cs))
+    rev = [(0,) * (width - len(c)) + c[::-1] for c in reversed(cs)]
+    drev = (0,) * (width - len(ds)) + ds[::-1]
+    view = None
+
+    def ev(vals):
+        nonlocal view
+        point = vals.get(2)
+        if point is None and deg:
+            raise _Pole
+        below = vals.get(1)
+        if below is None:
+            if view is None:
+                view = [_compile(c) for c in reversed(p.coeffs)]
+            return _combine([c(vals) for c in view], point)
+        dn = _horner(drev, below)[0]
+        if not dn:
+            raise _Pole
+        acc, w = _horner([_horner(c, below)[0] for c in rev], point)
+        return acc, dn * w
+    return ev
+
+
+def _combine(pairs, point):
+    """(n, d) of the polynomial with coefficient pairs (highest first) at
+    point, over the lcm of their denominators."""
+    den = math.lcm(*(d for _n, d in pairs))
+    acc, w = _horner([n * (den // d) for n, d in pairs], point)
+    return acc, den * w
+
+
+def _horner(rev, point):
+    """(y^m p(x / y), y^m) for point = x / y and the integer coefficients
+    rev of p, highest first, m = len(rev) - 1. point is not read when
+    m = 0, and no power of y is formed when y = 1."""
+    acc = rev[0]
+    if len(rev) == 1:
+        return acc, 1
+    x, y = point.numerator, point.denominator
+    if y == 1:
+        for n in rev[1:]:
+            acc = acc * x + n
+        return acc, 1
+    w = 1
+    for n in rev[1:]:
+        w *= y
+        acc = acc * x + n * w
+    return acc, w

@@ -9,9 +9,9 @@ from conftest import (H_TOWER, N_TOWER, P_TOWER, Q_TOWER, delta, parse,
                       rand_value)
 from sumred.algebra import Poly, RatFunc, vdepth, zero_at
 from sumred.reduction import ReductionContext, complete_reduction
-from sumred.sequences import (POLE, SequenceAssignment, _eval_at, _Pole,
-                              eval_sequence, fit_rational, verify_recurrence,
-                              verify_sigma_pair)
+from sumred.sequences import (POLE, SequenceAssignment, _compile, _eval_at,
+                              _Pole, eval_sequence, fit_rational,
+                              verify_recurrence, verify_sigma_pair)
 from sumred.towerfile import parse_tower_text
 
 
@@ -137,24 +137,37 @@ def _outcome(evaluate, v, vals):
 def test_integer_pair_evaluator_matches_fraction_horner(tower):
     rng = random.Random(140)
     depth = tower.full_depth
-    # 1/(x-1) has a pole at x = 1, (x-2)/(x+3) a zero at x = 2
-    fixed = [parse(tower, "1/(x-1) + t1"), parse(tower, "(x-2)/(x+3)"),
-             zero_at(depth)]
+    # 1/(x-1) has a pole at x = 1, (x-2)/(x+3) a zero at x = 2; the
+    # polynomials in one variable stay defined when everything below it is
+    # poisoned, t1^2 + 1 through a zero coefficient
+    fixed = [parse(tower, text) for text in (
+        "1/(x-1) + t1", "(x-2)/(x+3)", "x^2 - 3*x + 1/2", "t1^2 + 1",
+        "t1^2 - 3*t1 + 1/2")]
+    fixed += [zero_at(d) for d in range(depth + 1)]
     values = fixed + [rand_value(tower, rng) for _ in range(30)]
-    seen = {"pole": 0, "zero": 0, "poisoned": 0, "value": 0}
+    seen = {"pole": 0, "zero": 0, "value": 0, "value over poisoned 1": 0}
+    seen.update({f"poisoned {d}": 0 for d in range(1, depth + 1)})
     for v in values:
-        for _ in range(8):
-            vals = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        # one evaluator for all points, so that the coefficient view it
+        # builds once depth 1 is poisoned is reused at later points
+        compiled = _compile(v)
+        for _ in range(12):
+            vals = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                     for d in range(1, depth + 1)}
-            if rng.random() < 0.3:
-                vals[depth] = None  # the top generator is poisoned
-                seen["poisoned"] += 1
-            got = _outcome(_eval_at, v, vals)
-            assert got == _outcome(_fraction_horner, v, vals)
+            for d in vals:
+                if rng.random() < 0.2:
+                    vals[d] = None
+                    seen[f"poisoned {d}"] += 1
+            got = _outcome(_fraction_horner, v, vals)
+            assert _outcome(_eval_at, v, vals) == got
+            assert _outcome(lambda _v, at: Fraction(*compiled(at)),
+                            v, vals) == got
             if got is POLE:
                 seen["pole"] += 1
             else:
                 seen["zero" if got == 0 else "value"] += 1
+                if vals[1] is None:
+                    seen["value over poisoned 1"] += 1
     assert min(seen.values()) > 0, seen
 
 
@@ -184,17 +197,26 @@ _POISON_TOWER = parse_tower_text("gen x : 1\nseed x : x\ngen s : 1/(x-2)\n")
 _N_TEXTS = ["t2/x", "1/(x-3) + t1^2/(t1+1)", "t2^2/(x+1) + 1/(t1-2)"]
 
 
-@pytest.mark.parametrize("tower,params,texts,start", [
-    (N_TOWER, {}, _N_TEXTS, 0),
-    (P_TOWER, {"n": 5}, ["t1/(n-x)", "x*t1/(x+n)^2"], 0),
-    (_POISON_TOWER, {}, ["s^2 - s", "x*s"], 0),
+_P_TEXTS = ["t1/(n-x)", "x*t1/(x+n)^2"]
+
+
+@pytest.mark.parametrize("tower,params,texts,start,inits", [
+    (N_TOWER, {}, _N_TEXTS, 0, {}),
+    (P_TOWER, {"n": 5}, _P_TEXTS, 0, {}),
+    (_POISON_TOWER, {}, ["s^2 - s", "x*s"], 0, {}),
     # x and several denominators are negative, and t1 (so t2) is poisoned
     # after x = -1, where its increment 1/(x+1) has a pole
-    (N_TOWER, {}, _N_TEXTS + ["1/(x+2) - t1/(x-1)", "1/(x^2+1)"], -5),
-], ids=["N", "P", "poisoned", "N-negative"])
-def test_one_orbit_check_matches_three_walks(tower, params, texts, start):
+    (N_TOWER, {}, _N_TEXTS + ["1/(x+2) - t1/(x-1)", "1/(x^2+1)"], -5, {}),
+    # x is not an integer at any index; 1/(2*x-5) has a pole at x = 5/2
+    (N_TOWER, {}, _N_TEXTS + ["1/(2*x-5) + t1"], 0, {"x": Fraction(1, 2)}),
+    # n is not an integer; n - x and x + n never vanish, n - x + 1/2 does
+    (P_TOWER, {"n": Fraction(7, 2)}, _P_TEXTS + ["t1/(2*n-2*x+1)"], 0, {}),
+], ids=["N", "P", "poisoned", "N-negative", "N-half", "P-half"])
+def test_one_orbit_check_matches_three_walks(tower, params, texts, start,
+                                             inits):
     ctx = ReductionContext(tower)
-    assign = SequenceAssignment(tower, start=start, params=params)
+    assign = SequenceAssignment(tower, start=start, params=params,
+                                inits=inits)
     k_from, k_to = start, start + 9
     skipped = 0
     for text in texts:
@@ -211,6 +233,29 @@ def test_one_orbit_check_matches_three_walks(tower, params, texts, start):
             skipped += rep.skipped
         assert rep.failures  # a corrupted pair
     assert skipped > 0
+
+
+def test_verify_reads_each_stored_form_once(monkeypatch):
+    # each value is compiled once per check, whatever the length of the range
+    ctx = ReductionContext(N_TOWER)
+    f = parse(N_TOWER, "t2/x + 1/(t1+1)")
+    pair = complete_reduction(ctx, f)
+    assign = SequenceAssignment(N_TOWER)
+    calls = []
+    as_integers = Poly.as_integers
+
+    def counted(p):
+        calls.append(p)
+        return as_integers(p)
+
+    monkeypatch.setattr(Poly, "as_integers", counted)
+    counts = []
+    for k_to in (10, 40):
+        calls.clear()
+        rep = verify_sigma_pair(N_TOWER, f, pair, assign, 1, k_to)
+        assert rep.checked == k_to and rep.failures == []
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_trivial_pair_always_verifies():
