@@ -21,8 +21,9 @@ A Poly is stored in one of three forms, by the depth of its coefficients:
    numerators' content is coprime to the denominator.
  * depth-1 coefficients (Q(x)[t]): a numerator N in Z[x][t], a tuple of
    Z[x] int tuples (low degree first, () for a zero coefficient), over one
-   denominator D in Z[x], an int tuple. D is coprime over Q[x] to every
-   N_j, lc(D) > 0, and the integer content of N and D together is 1.
+   denominator D in Z[x], an int tuple. D is coprime over Q[x] to the
+   content of N (the gcd of the N_j; a single N_j may share a factor with
+   D), lc(D) > 0, and the integer content of N and D together is 1.
  * deeper coefficients: the tuple of RatFunc values itself.
 
 Both integer forms are unique. At the bottom, if c / d = c' / d', then d

@@ -244,8 +244,7 @@ def _finish(args, fields, human, ms=None, summable=True, ctx=None):
         tower = ctx.tower
         notes = [f"level {level}: "
                  + format_poly(tower, irr, tower.depth_of_level(level))
-                 for kind, level, irr in ctx.notes
-                 if kind == "new-representative"]
+                 for level, irr in ctx.notes]
         doc["new_representatives"] = notes
         human = human + [f"new representative {n}" for n in notes]
     if ms is not None:

@@ -32,6 +32,7 @@ from .algebra import (
     one_at,
     padic_expand,
     poly_sort_key,
+    vdepth,
     zero_at,
 )
 
@@ -93,7 +94,7 @@ class BasisElement:
 BASIS_ONE = BasisElement(())
 
 
-def expand_remainder(ctx, v, depth):
+def expand_remainder(ctx, v):
     """All coordinates of v: BasisElement -> nonzero constant.
 
     The polynomial part contributes t^k times the expansion of its k-th
@@ -101,14 +102,14 @@ def expand_remainder(ctx, v, depth):
     denominator, each piece is expanded q-adically, and the digit d_j
     contributes t^k / q^(m - j) times the expansion of its k-th coefficient.
     """
-    npar = ctx.tower.nparams
-    if isinstance(v, Fraction) or depth <= npar:
+    depth = vdepth(v)
+    if depth <= ctx.tower.nparams:
         return {} if _is_zero_val(v) else {BASIS_ONE: v}
     out = {}
     poly, proper = ctx.tower.split_poly_proper(v)
     _expand_digit(ctx, out, poly, depth)
     if not proper.num.is_zero():
-        factors = ctx.factor(proper.den, depth)
+        factors = ctx.factor(proper.den)
         pieces = coprime_split(proper.num, [q ** m for q, m in factors])
         for (q, m), piece in zip(factors, pieces):
             for j, digit in enumerate(padic_expand(piece, q)):
@@ -121,11 +122,11 @@ def _expand_digit(ctx, out, p, depth, q=None, m=0):
     for k, c in enumerate(p.coeffs):
         if _is_zero_val(c):
             continue
-        for th, cv in expand_remainder(ctx, c, depth - 1).items():
+        for th, cv in expand_remainder(ctx, c).items():
             out[th.extended(depth, k, q, m)] = cv
 
 
-def leading_coordinate(ctx, v, depth):
+def leading_coordinate(ctx, v):
     """The coordinate the elimination pivots on: (BasisElement, constant).
 
     The pivot is the first element of v's expansion, comparing the factors
@@ -133,10 +134,10 @@ def leading_coordinate(ctx, v, depth):
     t^k / q^m (by poly_sort_key(q), then larger m, then larger k), and no
     factor at that depth last.
     """
-    coords = expand_remainder(ctx, v, depth)
+    coords = expand_remainder(ctx, v)
     if not coords:
         raise ValueError("zero has no leading coordinate")
-    npar = ctx.tower.nparams
+    depth, npar = vdepth(v), ctx.tower.nparams
     th = min(coords, key=lambda e: _pivot_key(e, depth, npar))
     return th, coords[th]
 
@@ -153,7 +154,6 @@ def _pivot_key(element, depth, npar):
     return key
 
 
-def coordinate_of(ctx, element, v, depth):
+def coordinate_of(ctx, element, v):
     """The coefficient of one basis element in v's expansion."""
-    return expand_remainder(ctx, v, depth).get(element,
-                                                zero_at(ctx.tower.nparams))
+    return expand_remainder(ctx, v).get(element, zero_at(ctx.tower.nparams))

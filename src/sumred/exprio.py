@@ -268,12 +268,9 @@ def _fmt_term(c, name, j, names):
 def _cleared_pair(num, den, depth):
     """Rescale num/den for display so den has no fractional coefficients;
     at the bottom level also clear num's rational content. Value-preserving."""
-    if depth == 1 or isinstance(den.coeffs[0], Fraction):
-        L = 1
-        for c in den.coeffs:
-            L = math.lcm(L, c.denominator)
-        for c in num.coeffs:
-            L = math.lcm(L, c.denominator)
+    if depth == 1:
+        # a stored denominator is the lcm of its coefficients' denominators
+        L = math.lcm(num.as_integers()[1], den.as_integers()[1])
         if L != 1:
             s = Fraction(L)
             return num.scale(s), den.scale(s)
@@ -304,11 +301,7 @@ def _coeff_parts(c, names):
         if a == -1:
             return "-", tail
         return f"{_int_text(a)}*", tail
-    if c.den.is_one():
-        if c.is_one():
-            return "", ""
-        if _is_minus_one(c):
-            return "-", ""
+    if c.den.is_one():  # lowered, so of positive degree: never +-1
         s, k = _fmt_poly(c.num, c.depth, names)
         if k >= _SUM:
             s = f"({s})"
@@ -349,8 +342,3 @@ def _digit_limit_error():
         f"integer has more than {sys.get_int_max_str_digits()} decimal "
         "digits, Python's limit for converting between integers and text")
 
-
-def _is_minus_one(v):
-    if isinstance(v, Fraction):
-        return v == -1
-    return (-v).is_one()

@@ -6,10 +6,11 @@ equal remainders certify that two inputs differ by a difference. The zero
 test and the equality test for indefinite nested sums both ride on this.
 
 A ReductionContext carries the mutable session state: the representative
-sets that pin shift classes, the notes on new representatives, the
-classification cache and the reduction memo. Results are deterministic for
-a fixed tower and seed list; reusing one context across calls keeps earlier
-choices (and therefore earlier answers) stable.
+sets that pin shift classes, the notes on new representatives and the
+classification cache. Results are deterministic for a fixed tower and seed
+list; reusing one context across calls keeps earlier choices (and therefore
+earlier answers) stable: a class has one representative and a denominator
+is classified once, so reducing f again gives the same pair.
 
 What does not depend on a context's own representatives is kept once per
 tower, for every context on it:
@@ -64,8 +65,8 @@ from .sigmafactor import factor_monic, shift_equivalence
 class _PerTower:
     """What every context on one tower shares.
 
-    factors caches factor_monic, keyed by (depth, p). seed is the tower's
-    seed context, made on the first level-data lookup.
+    factors caches factor_monic, keyed by the polynomial. seed is the
+    tower's seed context, made on the first level-data lookup.
     """
 
     __slots__ = ("factors", "seed")
@@ -78,10 +79,10 @@ class _PerTower:
 class ReductionContext:
     """Session state for reductions over one tower.
 
-    Per context: reps, notes, the classification cache and the memo. Per
-    tower: factorizations, and the first pairs, second pairs and echelon
-    rows of the tower's seed context while that context has met seeded
-    classes only (see the module docstring for why that is exact).
+    Per context: reps, notes (level, irr), one per new representative, and
+    the classification cache. Per tower: factorizations, and the level data
+    and echelon rows of the tower's seed context while that context has met
+    seeded classes only (see the module docstring for why that is exact).
     """
 
     def __init__(self, tower):
@@ -93,10 +94,8 @@ class ReductionContext:
             tower._reduction = _PerTower()
         self._per_tower = tower._reduction
         self._classify_cache = {}
-        self._first = {}
-        self._second = {}
+        self._levels = {}
         self._echelon = {}
-        self._memo = {}
 
     def _from_seeds(self, lookup, *args):
         """lookup(seed context, *args), or None when it cannot be shared.
@@ -115,14 +114,12 @@ class ReductionContext:
 
     # -- shift-class bookkeeping -------------------------------------------
 
-    def factor(self, p, depth):
+    def factor(self, p):
         """Monic irreducible factorization, cached per tower."""
         cache = self._per_tower.factors
-        key = (depth, p)
-        hit = cache.get(key)
+        hit = cache.get(p)
         if hit is None:
-            hit = factor_monic(p)
-            cache[key] = hit
+            hit = cache[p] = factor_monic(p)
         return hit
 
     def classify_den(self, den, depth):
@@ -132,56 +129,46 @@ class ReductionContext:
         Unmatched irreducibles become new representatives at shift zero, in
         that same order.
         """
-        key = (depth, den)
-        hit = self._classify_cache.get(key)
+        hit = self._classify_cache.get(den)
         if hit is not None:
             return hit
         level = depth - self.tower.nparams
         reps = self.reps[level]
         out = []
-        for irr, mult in self.factor(den, depth):
+        for irr, mult in self.factor(den):
             for rep in reps:
                 shift = shift_equivalence(self, rep, irr, depth)
                 if shift is not None:
                     break
             else:
                 reps.append(irr)
-                self.notes.append(("new-representative", level, irr))
+                self.notes.append((level, irr))
                 rep, shift = irr, 0
             out.append((irr, mult, rep, shift))
         out = tuple(out)
-        self._classify_cache[key] = out
+        self._classify_cache[den] = out
         return out
 
     # -- per-level reduction data -------------------------------------------
 
-    def first_pair(self, level):
-        """(g, v) with increment = shift(g) - g + v, v the canonical residue."""
-        hit = self._first.get(level)
-        if hit is None:
-            hit = self._from_seeds(ReductionContext.first_pair, level)
-            if hit is None:
-                depth = self.tower.depth_of_level(level)
-                a = self.tower.gens[level - 1].delta
-                hit = complete_reduction(self, a, depth - 1)
-            self._first[level] = hit
-        return hit
+    def level_data(self, level):
+        """(g, v, element, c): increment = shift(g) - g + v with v the
+        canonical residue, and c the coordinate of v at the pivot element.
 
-    def second_pair(self, level):
-        """Pivot coordinate of the level's residue; validates the level."""
-        hit = self._second.get(level)
+        Raises InvalidTowerError when v is zero: the level is redundant.
+        """
+        hit = self._levels.get(level)
         if hit is None:
-            hit = self._from_seeds(ReductionContext.second_pair, level)
+            hit = self._from_seeds(ReductionContext.level_data, level)
             if hit is None:
-                _g, v = self.first_pair(level)
+                gen = self.tower.gens[level - 1]
+                g, v = complete_reduction(self, gen.delta)
                 if _is_zero_val(v):
-                    name = self.tower.gens[level - 1].name
                     raise InvalidTowerError(
-                        f"increment of {name!r} is a difference of elements "
-                        f"below it; the tower level is redundant")
-                hit = leading_coordinate(
-                    self, v, self.tower.depth_of_level(level) - 1)
-            self._second[level] = hit
+                        f"increment of {gen.name!r} is a difference of "
+                        f"elements below it; the tower level is redundant")
+                hit = (g, v, *leading_coordinate(self, v))
+            self._levels[level] = hit
         return hit
 
     def echelon_entry(self, level, i):
@@ -194,12 +181,11 @@ class ReductionContext:
             hit = self._from_seeds(ReductionContext.echelon_entry, level, i)
             if hit is not None:
                 return hit
-            g_t, v = self.first_pair(level)
-            self.second_pair(level)
+            g_t, v, _e, _c = self.level_data(level)
             w0 = Poly((-g_t, one_at(below)))
             rows = [(w0, Poly((v,)))]
             self._echelon[level] = rows
-        g_t, v = self._first[level]
+        g_t, v, _e, _c = self._levels[level]
         while len(rows) <= i:
             j = len(rows)
             inv = frac_at(Fraction(1, j + 1), below)
@@ -215,20 +201,13 @@ class ReductionContext:
     def delta_poly(self, p, depth):
         return self.tower.sigma_poly(p, depth, 1) - p
 
-    def memo(self, depth):
-        table = self._memo.get(depth)
-        if table is None:
-            table = {}
-            self._memo[depth] = table
-        return table
-
 
 # ---------------------------------------------------------------------------
 # proper part
 # ---------------------------------------------------------------------------
 
 
-def reduce_proper(ctx, f, depth):
+def reduce_proper(ctx, f):
     """Reduce a proper fraction in lowest terms; returns (g, r) as values at
     the same depth.
 
@@ -237,6 +216,7 @@ def reduce_proper(ctx, f, depth):
     r is the sum of the e's and g the sum of their orbit sums
     h = sigma_sum(e, s), since sigma^s(e) - e = sigma(h) - h.
     """
+    depth = f.depth
     zero = zero_at(depth)
     if f.num.is_zero():
         return zero, zero
@@ -271,7 +251,7 @@ def auxiliary_reduction(ctx, p, depth):
     work = p
     while not work.is_zero():
         d = work.degree()
-        gd, rd = complete_reduction(ctx, work.lc(), below)
+        gd, rd = complete_reduction(ctx, work.lc())
         pad = (zero_at(below),) * d
         mono_g = Poly(pad + (gd,))
         mono_r = Poly(pad + (rd,))
@@ -290,11 +270,10 @@ def reduce_polynomial(ctx, p, depth):
     if v.is_zero():
         return q, v
     level = depth - ctx.tower.nparams
-    element, c = ctx.second_pair(level)
+    _g, _v, element, c = ctx.level_data(level)
     below = depth - 1
     for j in range(v.degree(), -1, -1):
-        cj = v.coeff(j, below)
-        ctil = coordinate_of(ctx, element, cj, below)
+        ctil = coordinate_of(ctx, element, v.coeff(j, below))
         if _is_zero_val(ctil):
             continue
         ratio = lift(ctil / c, below)
@@ -309,30 +288,22 @@ def reduce_polynomial(ctx, p, depth):
 # ---------------------------------------------------------------------------
 
 
-def complete_reduction(ctx, f, depth=None):
+def complete_reduction(ctx, f):
     """Split f into (g, r): f = shift(g) - g + r with r canonical.
 
     f is a difference of a tower element iff r is zero; r is C-linear in f,
     and two values have equal remainders iff they differ by a difference.
     """
-    if depth is None:
-        depth = vdepth(f)
-    npar = ctx.tower.nparams
-    if isinstance(f, Fraction) or depth <= npar:
-        return (zero_at(vdepth(f)), f)
-    table = ctx.memo(depth)
-    hit = table.get(f)
-    if hit is not None:
-        return hit
+    depth = vdepth(f)
+    if depth <= ctx.tower.nparams:
+        return zero_at(depth), f
     poly, proper = ctx.tower.split_poly_proper(f)
     if poly.is_zero():
         g_poly, v_poly = Poly(()), Poly(())
     else:
         g_poly, v_poly = reduce_polynomial(ctx, poly, depth)
-    g2, r2 = reduce_proper(ctx, proper, depth)
+    g2, r2 = reduce_proper(ctx, proper)
     one = Poly((one_at(depth - 1),))
     g = RatFunc(g_poly, one, depth, _trusted=True) + g2
     r = RatFunc(v_poly, one, depth, _trusted=True) + r2
-    result = (g, r)
-    table[f] = result
-    return result
+    return g, r

@@ -50,7 +50,11 @@ class _Pole(Exception):
 
 
 class SequenceAssignment:
-    """Start index plus initial generator values and parameter values."""
+    """Start index plus initial generator values and parameter values.
+
+    given holds the initial values passed in; inits adds the defaults for
+    the rest, which depend on the parameter values.
+    """
 
     def __init__(self, tower, start=0, inits=None, params=None):
         self.tower = tower
@@ -64,10 +68,12 @@ class SequenceAssignment:
         if extra:
             raise ValueError(f"unknown parameters: {sorted(extra)}")
         self.params = {p: Fraction(pvals[p]) for p in tower.params}
+        self.given = {}
         self.inits = {}
         for gen in tower.gens:
             if gen.name in given:
-                self.inits[gen.name] = Fraction(given.pop(gen.name))
+                self.inits[gen.name] = self.given[gen.name] = Fraction(
+                    given.pop(gen.name))
             else:
                 self.inits[gen.name] = self._default_init(tower, gen)
         if given:
@@ -193,9 +199,10 @@ def verify_recurrence(tower, coeffs, f, assign, n_from, n_to,
                       param=None, sum_from=1, fit_degree=6):
     """Residual of sum(c_j * S(n+j-1)) where S(N) sums f with param := N.
 
-    S(N) is computed by direct summation of f over k = sum_from..N, so the
-    report shows exactly the inhomogeneous part a telescoper certificate
-    leaves behind after the boundary terms.
+    S(N) is computed once per N by direct summation of f over
+    k = sum_from..N, from the given initial values and the defaults at
+    param := N, so the report shows exactly the inhomogeneous part a
+    telescoper certificate leaves behind after the boundary terms.
     """
     if param is None:
         if len(tower.params) != 1:
@@ -203,24 +210,26 @@ def verify_recurrence(tower, coeffs, f, assign, n_from, n_to,
         param = tower.params[0]
     f = _compile(f)
     coeffs = [_compile(c) for c in coeffs]
+    sums = {}
     residuals = []
     for n0 in range(n_from, n_to + 1):
         total = Fraction(0)
-        bad = False
         for j, c in enumerate(coeffs):
             cv = _const_at(tower, c,
                            {**assign.params, param: Fraction(n0)})
             if cv is None:
-                bad = True
+                total = POLE
                 break
             if cv == 0:
                 continue
-            s = _direct_sum(tower, f, assign, param, n0 + j, sum_from)
-            if s is None:
-                bad = True
+            n = n0 + j
+            if n not in sums:
+                sums[n] = _direct_sum(tower, f, assign, param, n, sum_from)
+            if sums[n] is None:
+                total = POLE
                 break
-            total += cv * s
-        residuals.append((n0, POLE if bad else total))
+            total += cv * sums[n]
+        residuals.append((n0, total))
     points = [(Fraction(n), v) for n, v in residuals if v is not POLE]
     fit = fit_rational(points, fit_degree) if len(points) >= 3 else None
     return VerifyRecurrenceReport(residuals, fit)
@@ -261,7 +270,7 @@ def _try_fit(points, dp, dq):
 def _direct_sum(tower, ev, assign, param, upper, lower):
     if upper < lower:
         return Fraction(0)
-    sub = SequenceAssignment(tower, start=assign.start, inits=assign.inits,
+    sub = SequenceAssignment(tower, start=assign.start, inits=assign.given,
                              params={**assign.params, param: Fraction(upper)})
     total = Fraction(0)
     for _k, v in _walk(tower, ev, sub, lower, upper):

@@ -12,8 +12,8 @@ through that rebuild, which can lower the nesting depth of the answer.
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import (RatFunc, _inv_val, _is_zero_val, lift, lower, one_at,
-                      vdepth, zero_at)
+from .algebra import (_inv_val, _is_zero_val, lift, lower, one_at, vdepth,
+                      zero_at)
 from .effbasis import expand_remainder
 from .errors import InvalidTowerError
 from .reduction import ReductionContext, complete_reduction
@@ -61,7 +61,7 @@ def sigma_check(ctx, a, level=None):
     if a is None:
         raise InvalidTowerError(
             "increment uses generators at or above the requested level")
-    g, r = complete_reduction(ctx, a, depth)
+    g, r = complete_reduction(ctx, a)
     return SigmaCheckResult(not _is_zero_val(r), g, r)
 
 
@@ -76,7 +76,7 @@ def parameterized_telescope(ctx, fs):
     if not fs:
         raise ValueError("need at least one input element")
     pairs = [complete_reduction(ctx, f) for f in fs]
-    coords = [expand_remainder(ctx, r, tower.full_depth) for _g, r in pairs]
+    coords = [expand_remainder(ctx, r) for _g, r in pairs]
     elements = sorted({e for c in coords for e in c},
                       key=lambda e: e.sort_key())
     m = len(fs)
@@ -100,9 +100,7 @@ def substitute(source, v, images, target):
     def vimg(u, depth):
         if isinstance(u, Fraction) or depth <= npar:
             return lift(u, td)
-        if isinstance(u, RatFunc):
-            return pimg(u.num, depth) / pimg(u.den, depth)
-        return pimg(u, depth)
+        return pimg(u.num, depth) / pimg(u.den, depth)
 
     def pimg(p, depth):
         img = images[source.level_of_depth(depth) - 1]
@@ -188,11 +186,8 @@ def _levels_used(tower, v):
     def walk(u, depth):
         if isinstance(u, Fraction) or depth <= npar:
             return
-        if isinstance(u, RatFunc):
-            wpoly(u.num, depth)
-            wpoly(u.den, depth)
-        else:
-            wpoly(u, depth)
+        wpoly(u.num, depth)
+        wpoly(u.den, depth)
 
     def wpoly(p, depth):
         if p.degree() > 0:

@@ -322,6 +322,16 @@ def test_import_ignores_a_malformed_int_cap(monkeypatch):
     assert (out.returncode, out.stdout) == (0, "None\n")
 
 
+def test_module_entry_point_runs_a_command():
+    out = subprocess.run(
+        [sys.executable, "-m", "sumred", "reduce", "--tower", HARMONIC,
+         "--expr", "1/x", "--json"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert (doc["command"], doc["g"], doc["r"]) == ("reduce", "t1 - 1/x", "0")
+
+
 def test_sigma_check_above_the_top_level_is_a_typed_document(capsys):
     code, doc = run_json(capsys, ["sigma-check", "--tower", HARMONIC,
                                   "--expr", "1/(x+1)", "--level", "5"])

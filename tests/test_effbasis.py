@@ -49,9 +49,9 @@ def test_as_value():
 
 def test_expand_remainder_of_zero_and_constants():
     ctx = ReductionContext(H_TOWER)
-    assert expand_remainder(ctx, Fraction(0), 0) == {}
-    assert expand_remainder(ctx, zero_at(2), 2) == {}
-    assert expand_remainder(ctx, Fraction(5), 0) == {BASIS_ONE: Fraction(5)}
+    assert expand_remainder(ctx, Fraction(0)) == {}
+    assert expand_remainder(ctx, zero_at(2)) == {}
+    assert expand_remainder(ctx, Fraction(5)) == {BASIS_ONE: Fraction(5)}
 
 
 def test_expansion_inverts_basis_combinations():
@@ -77,7 +77,7 @@ def test_expansion_inverts_basis_combinations():
         v = lift(Fraction(0), H_TOWER.full_depth)
         for c, e in zip(coeffs, elements):
             v = v + e.as_value(H_TOWER) * c
-        coords = expand_remainder(ctx, v, H_TOWER.full_depth)
+        coords = expand_remainder(ctx, v)
         for c, e in zip(coeffs, elements):
             assert coords.get(e, Fraction(0)) == c
         assert len(coords) == sum(1 for c in coeffs if c != 0)
@@ -89,7 +89,7 @@ def test_expansion_reconstructs_reduction_remainders():
     for _ in range(40):
         f = rand_value(H_TOWER, rng, 2)
         _g, r = complete_reduction(ctx, f)
-        coords = expand_remainder(ctx, r, H_TOWER.full_depth)
+        coords = expand_remainder(ctx, r)
         total = lift(Fraction(0), H_TOWER.full_depth)
         for th, cv in coords.items():
             assert isinstance(cv, Fraction) and cv != 0
@@ -105,7 +105,7 @@ def test_expansion_reconstructs_nested_remainders():
               "t1*t2 + 1/(x+1)", "1/((x+1)*t1)"):
         f = parse(N_TOWER, s)
         _g, r = complete_reduction(ctx, f)
-        coords = expand_remainder(ctx, r, N_TOWER.full_depth)
+        coords = expand_remainder(ctx, r)
         total = lift(Fraction(0), N_TOWER.full_depth)
         for th, cv in coords.items():
             total = total + th.as_value(N_TOWER) * cv
@@ -121,14 +121,14 @@ def test_leading_coordinate_matches_expansion():
         _g, r = complete_reduction(ctx, f)
         if isinstance(r, Fraction) and r == 0:
             continue
-        coords = expand_remainder(ctx, r, H_TOWER.full_depth)
+        coords = expand_remainder(ctx, r)
         if not coords:
             continue
         checked += 1
-        th, c = leading_coordinate(ctx, r, H_TOWER.full_depth)
+        th, c = leading_coordinate(ctx, r)
         assert coords[th] == c
         for other in coords:
-            got = coordinate_of(ctx, other, r, H_TOWER.full_depth)
+            got = coordinate_of(ctx, other, r)
             assert got == coords[other]
     assert checked >= 20
 
@@ -136,11 +136,11 @@ def test_leading_coordinate_matches_expansion():
 def test_leading_coordinate_prefers_polynomial_content():
     ctx = ReductionContext(H_TOWER)
     v = parse(H_TOWER, "t1^2 + 1/x")
-    th, c = leading_coordinate(ctx, v, H_TOWER.full_depth)
+    th, c = leading_coordinate(ctx, v)
     assert th == BASIS_ONE.extended(2, 2)
     assert c == Fraction(1)
     w = parse(H_TOWER, "x^2 + 1/t1")
-    th2, c2 = leading_coordinate(ctx, w, H_TOWER.full_depth)
+    th2, c2 = leading_coordinate(ctx, w)
     assert th2 == BASIS_ONE.extended(2, 0, T1, 1)
     assert c2 == Fraction(1)
 
@@ -149,19 +149,17 @@ def test_coordinate_of_absent_element_is_zero():
     ctx = ReductionContext(H_TOWER)
     v = parse(H_TOWER, "1/x")
     absent = BASIS_ONE.extended(1, 0, X1, 2)
-    assert coordinate_of(ctx, absent, v, H_TOWER.full_depth) == Fraction(0)
-    assert coordinate_of(ctx, BASIS_ONE.extended(2, 1), v,
-                         H_TOWER.full_depth) == Fraction(0)
+    assert coordinate_of(ctx, absent, v) == Fraction(0)
+    assert coordinate_of(ctx, BASIS_ONE.extended(2, 1), v) == Fraction(0)
 
 
 def test_reading_coordinates_leaves_the_representatives_alone():
     ctx = ReductionContext(H_TOWER)
     v = parse(H_TOWER, "1/((x^2+1)*t1)")
-    depth = H_TOWER.full_depth
     reps = {level: list(rs) for level, rs in ctx.reps.items()}
-    coords = expand_remainder(ctx, v, depth)
-    th, c = leading_coordinate(ctx, v, depth)
+    coords = expand_remainder(ctx, v)
+    th, c = leading_coordinate(ctx, v)
     assert coords == {th: c}
-    assert coordinate_of(ctx, th, v, depth) == c
+    assert coordinate_of(ctx, th, v) == c
     assert ctx.reps == reps
     assert ctx.notes == []

@@ -46,13 +46,13 @@ def _is_constant(tower, v):
 def test_proper_reduction_golden():
     ctx = ReductionContext(H_TOWER)
     f = _dd(parse(H_TOWER, "-1/((x+1)*t1^2+t1)"), 2)
-    g, h = reduce_proper(ctx, f, 2)
+    g, h = reduce_proper(ctx, f)
     assert lift(g, 2) == parse(H_TOWER, "1/t1")
     assert _is_zero(h)
-    g0, h0 = reduce_proper(ctx, zero_at(2), 2)
+    g0, h0 = reduce_proper(ctx, zero_at(2))
     assert _is_zero(g0) and _is_zero(h0)
     fx = _dd(parse(H_TOWER, "1/(x+1)"), 1)
-    gx, hx = reduce_proper(ctx, fx, 1)
+    gx, hx = reduce_proper(ctx, fx)
     assert lift(gx, 2) == parse(H_TOWER, "1/x")
     assert lift(hx, 2) == parse(H_TOWER, "1/x")
 
@@ -111,7 +111,7 @@ def test_proper_part_matches_the_stepping_chain(tower):
                 num = Poly(tuple(rng.choice(coeffs)
                                  for _ in range(den.degree())))
                 f = f + RatFunc(num, den, depth)
-            assert reduce_proper(ctx, f, depth) == _chain_reduce_proper(
+            assert reduce_proper(ctx, f) == _chain_reduce_proper(
                 ctx, f, depth)
 
 
@@ -219,20 +219,17 @@ def test_complete_reduction_golden_nested():
 
 def test_session_pairs_golden():
     ctx = ReductionContext(H_TOWER)
-    g1, v1 = ctx.first_pair(1)
+    g1, v1, th1, c1 = ctx.level_data(1)
     assert g1 == Fraction(0) and v1 == Fraction(1)
-    th1, c1 = ctx.second_pair(1)
     assert th1 == BASIS_ONE and c1 == Fraction(1)
-    g2, v2 = ctx.first_pair(2)
+    g2, v2, th2, c2 = ctx.level_data(2)
     assert lift(g2, 2) == parse(H_TOWER, "1/x")
     assert lift(v2, 2) == parse(H_TOWER, "1/x")
-    th2, c2 = ctx.second_pair(2)
     assert th2 == BASIS_ONE.extended(1, 0, X1, 1) and c2 == Fraction(1)
     ctxn = ReductionContext(N_TOWER)
-    g3, v3 = ctxn.first_pair(3)
+    g3, v3, th3, c3 = ctxn.level_data(3)
     assert lift(g3, 3) == parse(N_TOWER, "t1^2/2 + 1/(2*x^2)")
     assert lift(v3, 3) == parse(N_TOWER, "1/(2*x^2)")
-    th3, c3 = ctxn.second_pair(3)
     assert th3 == BASIS_ONE.extended(1, 0, X1, 2) and c3 == Fraction(1, 2)
 
 
@@ -241,14 +238,22 @@ def test_base_cases():
     assert complete_reduction(ctx, Fraction(5)) == (Fraction(0), Fraction(5))
     ctxp = ReductionContext(P_TOWER)
     v = _dd(parse(P_TOWER, "n^2+1"), 1)
-    g, r = complete_reduction(ctxp, v, 1)
+    g, r = complete_reduction(ctxp, v)
     assert _is_zero(g) and r == v
 
 
-def test_results_are_memoized():
+def test_results_are_stable_in_one_context():
+    # new representatives met in between leave f's classes as they were
     ctx = ReductionContext(H_TOWER)
-    f = parse(H_TOWER, "t1/x + 1/(x+2)")
-    assert complete_reduction(ctx, f) is complete_reduction(ctx, f)
+    f = parse(H_TOWER, "t1/x + 1/(x+2) + 1/(t1*(x+1))")
+    first = complete_reduction(ctx, f)
+    before = len(ctx.notes)
+    for s in ("1/(x^2+1)", "x/((x^2+3)*(t1^2+x))"):
+        complete_reduction(ctx, parse(H_TOWER, s))
+    assert {level for level, _irr in ctx.notes[before:]} == {1, 2}
+    notes = len(ctx.notes)
+    assert complete_reduction(ctx, f) == first
+    assert len(ctx.notes) == notes
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +380,12 @@ def test_indicator_bound():
 def test_remainder_relation_one_level_up():
     rng = random.Random(606)
     ctx = ReductionContext(H_TOWER)
-    th, c = ctx.second_pair(2)
-    _gfp, v = ctx.first_pair(2)
+    _gfp, v, th, c = ctx.level_data(2)
     for _ in range(200):
         f = rand_rat1(H_TOWER, rng, 2)
-        _g1, low = complete_reduction(ctx, f, 1)
-        _g2, up = complete_reduction(ctx, lift(f, 2), 2)
-        ctilde = -coordinate_of(ctx, th, low, 1) / c
+        _g1, low = complete_reduction(ctx, f)
+        _g2, up = complete_reduction(ctx, lift(f, 2))
+        ctilde = -coordinate_of(ctx, th, low) / c
         assert up == lift(low, 2) + lift(v, 2) * ctilde
 
 
@@ -418,7 +422,7 @@ def test_lemma_sigma_simple_content_is_fixed():
         f = parse(H_TOWER, s)
         own = H_TOWER.depth_of_level(H_TOWER.level(f))
         fd = _dd(f, own)
-        g, r = complete_reduction(ctx, fd, own)
+        g, r = complete_reduction(ctx, fd)
         assert r == fd
         assert _is_zero(g)
 

@@ -52,7 +52,7 @@ def _printed(ctx, f):
     g, r = complete_reduction(ctx, f)
     notes = [f"level {level}: "
              + format_poly(tower, irr, tower.depth_of_level(level))
-             for _kind, level, irr in ctx.notes[before:]]
+             for level, irr in ctx.notes[before:]]
     return {"g": format_value(tower, g), "r": format_value(tower, r),
             "notes": notes}
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (H_TOWER, N_TOWER, P_TOWER, Q_TOWER, delta, parse,
                       rand_value)
+import sumred.sequences as sequences
 from sumred.algebra import Poly, RatFunc, vdepth, zero_at
 from sumred.reduction import ReductionContext, complete_reduction
 from sumred.sequences import (POLE, SequenceAssignment, _compile, _eval_at,
@@ -329,6 +330,29 @@ def test_recurrence_residual_golden():
         assert v == Fraction(-2, n + 2)
     assert rep.fit == RatFunc(Poly((Fraction(-2),)),
                               Poly((Fraction(2), Fraction(1))), 1)
+
+
+def test_recurrence_sums_use_the_defaults_at_each_n(monkeypatch):
+    # x(k) = k*N by default at n := N, whatever n the assignment holds
+    tower = parse_tower_text("params n\ngen x : n\n")
+    f = parse(tower, "x")
+    for n in (5, 7):
+        assign = SequenceAssignment(tower, start=1, params={"n": n})
+        rep = verify_recurrence(tower, [Fraction(1)], f, assign, 1, 4)
+        assert [v for _n, v in rep.residuals] == [1, 6, 18, 40]
+    # a given initial value is kept: x(k) = (k - 1)*N
+    assign = SequenceAssignment(tower, start=1, inits={"x": 0},
+                                params={"n": 5})
+    rep = verify_recurrence(tower, [Fraction(1)], f, assign, 1, 4)
+    assert [v for _n, v in rep.residuals] == [0, 2, 9, 24]
+    # each S(N) is summed once, however many coefficients read it
+    calls = []
+    direct = sequences._direct_sum
+    monkeypatch.setattr(sequences, "_direct_sum",
+                        lambda *a: calls.append(a[4]) or direct(*a))
+    coeffs = [parse(tower, s) for s in ("n", "-2*n - 1", "n + 1")]
+    verify_recurrence(tower, coeffs, f, assign, 1, 4)
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
 
 def test_recurrence_fraction_coefficients_and_errors():

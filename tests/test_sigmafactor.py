@@ -108,8 +108,7 @@ def test_unit_shift_is_confirmed_without_the_difference_test(monkeypatch, k):
     # S_k is one term at |k| = 1, so the candidate goes straight to sigma^k
     ctx = ReductionContext(H_TOWER)
     ctx.classify_den(T1, 2)
-    ctx.first_pair(2)
-    ctx.second_pair(2)
+    ctx.level_data(2)
     q = H_TOWER.sigma_poly(T1, 2, k)
 
     def no_delta(v):

@@ -178,7 +178,7 @@ def test_rebuilt_increments_are_their_own_remainders():
         for i, gen in enumerate(final.gens, start=1):
             depth = final.nparams + i - 1
             a = lift(gen.delta, depth)
-            g, r = complete_reduction(ctx, a, depth)
+            g, r = complete_reduction(ctx, a)
             assert r == a
             assert _is_zero(g)
 
