@@ -7,6 +7,10 @@ a free parameter.  sigma_check certifies that an increment opens a
 genuine new summation level.  well_generate rebuilds a tower so that
 every increment is its own remainder, and depth_reduce pushes an element
 through that rebuild, which can lower the nesting depth of the answer.
+
+The rebuild sends t_i to t_i' + g_i with g_i below level i, so transport
+is a translation (tower.Translation), as the shift is; over each field
+below it is a ring isomorphism, so fractions stay reduced.
 """
 
 from collections import namedtuple
@@ -17,7 +21,7 @@ from .algebra import (_inv_val, _is_zero_val, lift, lower, one_at, vdepth,
 from .effbasis import expand_remainder
 from .errors import InvalidTowerError
 from .reduction import ReductionContext, complete_reduction
-from .tower import Generator, TowerSpec
+from .tower import Generator, TowerSpec, Translation
 
 TelescopeResult = namedtuple("TelescopeResult", ["g", "r", "summable"])
 
@@ -32,15 +36,19 @@ DepthReduceResult = namedtuple(
 
 
 class IsomorphismMap:
-    """Field map between two towers, fixed by images of the generators."""
+    """Field map between two towers that sends t_i to t_i' + offsets[i - 1]
+    and fixes constants and parameters; images holds each t_i' + g_i."""
 
-    def __init__(self, source, target, images):
+    def __init__(self, source, target, offsets):
         self.source = source
         self.target = target
-        self.images = tuple(images)
+        self.offsets = tuple(offsets)
+        top = target.full_depth
+        self.images = tuple(lift(target.gen_var(i), top) + lift(g, top)
+                            for i, g in enumerate(self.offsets, start=1))
 
     def apply(self, v):
-        return substitute(self.source, v, self.images, self.target)
+        return substitute(v, self.offsets, self.target)
 
 
 def telescope(ctx, f):
@@ -92,24 +100,11 @@ def parameterized_telescope(ctx, fs):
     return tuple(out)
 
 
-def substitute(source, v, images, target):
-    """Map v through generator images, identity on constants and params."""
-    td = target.full_depth
-    npar = source.nparams
-
-    def vimg(u, depth):
-        if isinstance(u, Fraction) or depth <= npar:
-            return lift(u, td)
-        return pimg(u.num, depth) / pimg(u.den, depth)
-
-    def pimg(p, depth):
-        img = images[source.level_of_depth(depth) - 1]
-        acc = zero_at(td)
-        for c in reversed(p.coeffs):
-            acc = acc * img + vimg(c, depth - 1)
-        return acc
-
-    return vimg(v, vdepth(v))
+def substitute(v, offsets, target):
+    """v with t_i sent to t_i + offsets[i - 1], lifted to the target's top."""
+    n = target.nparams
+    tr = Translation(n, lambda depth: offsets[depth - n - 1])
+    return lift(tr.value(v), target.full_depth)
 
 
 def well_generate(ctx):
@@ -124,10 +119,7 @@ def well_generate(ctx):
     for i, old in enumerate(src.gens, start=1):
         prefix = _spec_with(src, fixed, carried)
         step = ReductionContext(prefix)
-        imgs = [lift(prefix.gen_var(j), prefix.full_depth)
-                + lift(gparts[j - 1], prefix.full_depth)
-                for j in range(1, i)]
-        b = substitute(src, old.delta, imgs, prefix)
+        b = substitute(old.delta, gparts, prefix)
         g, r = complete_reduction(step, b)
         if _is_zero_val(r):
             raise InvalidTowerError(
@@ -144,10 +136,7 @@ def well_generate(ctx):
         fixed.append((name, r))
         gparts.append(g)
     final = _spec_with(src, fixed, carried)
-    images = [lift(final.gen_var(i), final.full_depth)
-              + lift(gparts[i - 1], final.full_depth)
-              for i in range(1, src.nlevels + 1)]
-    return final, IsomorphismMap(src, final, images)
+    return final, IsomorphismMap(src, final, gparts)
 
 
 def depth_reduce(ctx, f):

@@ -7,26 +7,24 @@ level i. Values are the algebra-module chain: depth 1..nparams are the
 parameters, depth nparams+i is generator i, so a value of depth
 nparams + i lives in C(t_1, ..., t_i).
 
-The k-fold shift is one substitution at every level: sigma^k(t_i) =
-t_i + S_k with S_k = sigma_sum(a_i, k), the orbit sum of sigma^j(a_i) over
-0 <= j < k (for k < 0, minus the sum over k <= j < 0), so
-sigma^k(sum c_j t_i^j) is the sum of sigma^k(c_j) (t_i + S_k)^j. At level 1
-the increment and the coefficients lie in C, which the shift fixes, so
-there S_k = k*a_1 in closed form and the coefficients are used as they are.
-The sums S_k are cached per level and k. The same orbit sum is the
-certificate of a proper part in the reduction module.
+The k-fold shift is a translation: sigma^k(t_i) = t_i + S_k, where S_k =
+sigma_sum(a_i, k) is the orbit sum of sigma^j(a_i) over 0 <= j < k (for
+k < 0, minus the sum over k <= j < 0); at level 1, S_k = k*a_1. A
+Translation moves t to t + s at every depth at once. The tower keeps one
+per k, which reads S_k at a level only when a value there is shifted.
+Transport between towers (telescope module) is a translation too, and the
+orbit sum is also the certificate of a proper part (reduction module).
 
 Polynomials whose coefficients are stored as integers (depth 1 and 2, see
-the algebra module) are shifted on those integers in one call
-(taylor_shift): at depth 2 over Q that also moves x to x + k*a_1 inside
-the coefficients. Deeper polynomials take the sum above, with the powers of
-t_i + S_k cached per level and k.
+the algebra module) are translated on those integers in one call
+(taylor_shift), which at depth 2 over Q also moves x inside the
+coefficients. Deeper ones take the sum of c_j (t + s)^j over the
+translated coefficients c_j, with the powers of t + s cached per depth.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .algebra import (
     Poly,
@@ -61,6 +59,57 @@ class Generator:
         self.name = name
         self.delta = delta
         self.seed_reps = tuple(seed_reps)
+
+
+class Translation:
+    """t -> t + offset(depth) for the variable of every generator depth, the
+    identity on constants and parameters. offset(depth) is a value one depth
+    below, read once. Over a field K, t -> t + s is a ring automorphism of
+    K[t], so a reduced fraction maps to a reduced one with a monic
+    denominator."""
+
+    def __init__(self, nparams, offset):
+        self.nparams = nparams
+        self._offset = offset
+        self._at = {}
+        self._pows = {}
+
+    def offset(self, depth):
+        if depth not in self._at:
+            self._at[depth] = self._offset(depth)
+        return self._at[depth]
+
+    def value(self, v):
+        d = vdepth(v)
+        if d <= self.nparams:
+            return v
+        return RatFunc(self.poly(v.num, d), self.poly(v.den, d), d,
+                       _trusted=True)
+
+    def poly(self, p, depth):
+        """Translate a polynomial in the depth-level variable."""
+        if p.is_zero() or depth <= self.nparams:
+            return p
+        if depth <= 2:
+            # integer-stored coefficients: one Taylor shift on the integers,
+            # with x -> x + offset(1) inside them at level 2 over Q
+            inner = self.offset(1) if depth == self.nparams + 2 else None
+            return taylor_shift(p, self.offset(depth), inner)
+        coeffs = [self.value(c) for c in p.coeffs]
+        s = self.offset(depth)
+        if len(coeffs) == 1 or _is_zero_val(s):
+            return Poly(coeffs)
+        # pows[j] is (t + s)^(j + 1)
+        pows = self._pows.get(depth)
+        if pows is None:
+            pows = self._pows[depth] = [Poly((s, one_at(depth - 1)))]
+        while len(pows) < len(coeffs) - 1:
+            pows.append(pows[-1] * pows[0])
+        out = Poly(coeffs[:1])
+        for c, pw in zip(coeffs[1:], pows):
+            if not _is_zero_val(c):
+                out = out + pw.scale(c)
+        return out
 
 
 class TowerSpec:
@@ -106,8 +155,8 @@ class TowerSpec:
         # the variable's name at each depth, None for the constants
         self.names = (None,) + self.params + tuple(g.name for g in self.gens)
         self._by_name = {name: d for d, name in enumerate(self.names) if d}
-        self._pows = {}
-        self._sums = {}
+        # sigma^k as the translation by S_k, one per k
+        self._shifts = {}
         # what reduction's contexts share over this tower (factorizations
         # and the seed context), set by the first context made on it
         self._reduction = None
@@ -158,60 +207,19 @@ class TowerSpec:
 
     def sigma(self, v, k=1):
         """Apply the shift k times (k may be negative)."""
-        if k == 0 or isinstance(v, Fraction):
-            return v
-        d = v.depth
-        if d <= self.nparams:
-            return v
-        num = self.sigma_poly(v.num, d, k)
-        den = self.sigma_poly(v.den, d, k)
-        # an automorphism preserves coprimality and keeps the denominator monic
-        return RatFunc(num, den, d, _trusted=True)
+        return v if k == 0 else self._shift(k).value(v)
 
     def sigma_poly(self, p, depth, k=1):
         """Shift a polynomial in the depth-level variable, coefficients below."""
-        if k == 0 or p.is_zero() or depth <= self.nparams:
-            return p
-        if depth <= 2:
-            # integer-stored coefficients: one Taylor shift on the integers,
-            # with x -> x + k a_1 inside them at level 2 over Q
-            inner = self.gens[0].delta * k if depth == self.nparams + 2 \
-                else None
-            return taylor_shift(p, self._shift_sum(depth, k), inner)
-        coeffs = p.coeffs
-        if depth - 1 > self.nparams:
-            coeffs = [self.sigma(c, k) for c in coeffs]
-        if len(coeffs) == 1:
-            return Poly(coeffs)
-        pows = self._pow_list(depth, k, len(coeffs) - 1)
-        # pows[0] is 1: start from the constant term instead of scaling it
-        out = Poly(coeffs[:1])
-        for c, pw in zip(coeffs[1:], pows[1:]):
-            if not _is_zero_val(c):
-                out = out + pw.scale(c)
-        return out
+        return p if k == 0 else self._shift(k).poly(p, depth)
 
-    def _pow_list(self, depth, k, upto):
-        """[1, t + S_k, (t + S_k)^2, ...] up to the power upto, cached."""
-        key = (depth, k)
-        pows = self._pows.get(key)
-        if pows is None:
-            one = one_at(depth - 1)
-            pows = [Poly((one,)), Poly((self._shift_sum(depth, k), one))]
-            self._pows[key] = pows
-        while len(pows) <= upto:
-            pows.append(pows[-1] * pows[1])
-        return pows
-
-    def _shift_sum(self, depth, k):
-        """S_k with sigma^k(t) = t + S_k for the depth-level variable t,
-        cached."""
-        key = (depth, k)
-        total = self._sums.get(key)
-        if total is None:
-            a = self.gens[depth - self.nparams - 1].delta
-            total = self._sums[key] = self.sigma_sum(a, k)
-        return total
+    def _shift(self, k):
+        """sigma^k: the translation by S_k at every level, cached by k."""
+        if k not in self._shifts:
+            gens, n = self.gens, self.nparams
+            self._shifts[k] = Translation(
+                n, lambda d: self.sigma_sum(gens[d - n - 1].delta, k))
+        return self._shifts[k]
 
     def sigma_sum(self, v, k):
         """The orbit sum h with sigma(h) - h = sigma^k(v) - v: the sum of

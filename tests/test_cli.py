@@ -14,7 +14,7 @@ from sumred import algebra, cli
 from sumred.algebra import set_int_cap
 from sumred.errors import IntegerLimitError
 from sumred.exprio import parse_expression
-from sumred.towerfile import load_tower_file
+from sumred.towerfile import load_tower_file, parse_tower_text
 
 from conftest import H_TOWER
 
@@ -191,6 +191,17 @@ def test_bench_usage_error_is_a_typed_document(capsys, extra, needle):
     assert doc["command"] == "bench"
     assert doc["error"]["type"] == "ParseError"
     assert needle in doc["error"]["message"]
+
+
+def test_bench_default_tower_is_the_bundled_file():
+    # `bench` without --tower reads the inline copy of towers/bench.tower
+    def shape(tower):
+        return tower.params, [(g.name, g.delta, g.seed_reps)
+                              for g in tower.gens]
+
+    inline = parse_tower_text(cli._BENCH_TOWER)
+    bundled = load_tower_file(ROOT / "towers" / "bench.tower")
+    assert shape(inline) == shape(bundled)
 
 
 # argv for which argparse prints help, a usage error or an unknown command;

@@ -1,12 +1,13 @@
 """Telescoping, joint telescoping, increment checks, tower rebuilds."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (B_TOWER, H_TOWER, N_TOWER, P_TOWER, Q_TOWER,
-                      assert_sigma_pair, delta, parse)
-from sumred.algebra import lift
+                      assert_sigma_pair, delta, parse, rand_value)
+from sumred.algebra import lift, vdepth, zero_at
 from sumred.errors import InvalidTowerError
 from sumred.reduction import ReductionContext, complete_reduction
 from sumred.telescope import (depth_reduce, nesting_depth, nullspace_basis,
@@ -20,6 +21,27 @@ def _is_const(tower, v):
 
 def _is_zero(v):
     return v == 0 if isinstance(v, Fraction) else v.is_zero()
+
+
+def _horner_substitute(source, v, images, target):
+    """Reference transport: Horner evaluation of every polynomial at the
+    full-depth generator images, with every leaf lifted to the top."""
+    td = target.full_depth
+    npar = source.nparams
+
+    def vimg(u, depth):
+        if isinstance(u, Fraction) or depth <= npar:
+            return lift(u, td)
+        return pimg(u.num, depth) / pimg(u.den, depth)
+
+    def pimg(p, depth):
+        img = images[source.level_of_depth(depth) - 1]
+        acc = zero_at(td)
+        for c in reversed(p.coeffs):
+            acc = acc * img + vimg(c, depth - 1)
+        return acc
+
+    return vimg(v, vdepth(v))
 
 
 def test_telescope_verdicts():
@@ -151,16 +173,30 @@ def test_well_generated_rebuild():
     assert iso.images[2] == parse(spec2, "u2 + u1^2/2 + u1/x + 1/x^2")
 
 
-def test_transport_is_field_map():
-    spec2, iso = well_generate(ReductionContext(N_TOWER))
-    vals = [parse(N_TOWER, s)
-            for s in ("t1^2 + x", "t2/x", "1/(t1+1)", "x*t2 - t1")]
+@pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, B_TOWER, P_TOWER],
+                         ids=["H", "N", "B", "P"])
+def test_transport_matches_the_horner_reference(tower):
+    spec2, iso = well_generate(ReductionContext(tower))
+    rng = random.Random(611)
+    for _ in range(12):
+        v = rand_value(tower, rng, 2)
+        assert iso.apply(v) == _horner_substitute(tower, v, iso.images, spec2)
+
+
+@pytest.mark.parametrize("tower, texts", [
+    (N_TOWER, ("t1^2 + x", "t2/x", "1/(t1+1)", "x*t2 - t1")),
+    (B_TOWER, ("t1^2 + x", "t2/x", "1/(t2+t1)", "x*t2 - t1")),
+    (P_TOWER, ("t1^2 + n*x", "t1/(n - x)", "1/(t1+n)", "x*t1 - n")),
+], ids=["N", "B", "P"])
+def test_transport_is_field_map(tower, texts):
+    spec2, iso = well_generate(ReductionContext(tower))
+    vals = [parse(tower, s) for s in texts]
     for a in vals:
         for b in vals:
             assert iso.apply(a + b) == iso.apply(a) + iso.apply(b)
             assert iso.apply(a * b) == iso.apply(a) * iso.apply(b)
     for a in vals:
-        assert spec2.sigma(iso.apply(a)) == iso.apply(N_TOWER.sigma(a))
+        assert spec2.sigma(iso.apply(a)) == iso.apply(tower.sigma(a))
 
 
 def test_well_generated_fixed_point():

@@ -130,11 +130,33 @@ def test_sigma_is_a_field_homomorphism():
             assert N_TOWER.sigma(a * b) == N_TOWER.sigma(a) * N_TOWER.sigma(b)
 
 
-def test_sigma_composes():
+@pytest.mark.parametrize("tower", [B_TOWER, N_TOWER, P_TOWER],
+                         ids=["B", "N", "P"])
+def test_sigma_composes(tower):
+    # on P level 1 sits at depth 2, so its integer shift runs with no inner x
     rng = random.Random(203)
-    for _ in range(20):
-        v = rand_value(B_TOWER, rng, 2)
-        assert B_TOWER.sigma(v, 3) == B_TOWER.sigma(B_TOWER.sigma(v, 2), 1)
+    for k, (a, b) in ((3, (2, 1)), (-3, (-2, -1)), (2, (3, -1))):
+        for _ in range(8):
+            v = rand_value(tower, rng, 2)
+            assert tower.sigma(v, k) == tower.sigma(tower.sigma(v, a), b)
+
+
+def test_a_repeated_shift_sums_no_new_orbit(monkeypatch):
+    # sigma^5 is one cached translation: S_5 is summed once per level
+    tower = parse_tower_text("gen x : 1\ngen t1 : 1/(x+1)\n")
+    v = parse(tower, "(t1^2 + x)/(t1 + 1/x)")
+    real = TowerSpec.sigma_sum
+    summed = []
+
+    def counting(self, a, k):
+        summed.append(k)
+        return real(self, a, k)
+
+    monkeypatch.setattr(TowerSpec, "sigma_sum", counting)
+    first = tower.sigma(v, 5)
+    assert summed.count(5) == 2
+    assert tower.sigma(v, 5) == first
+    assert summed.count(5) == 2
 
 
 def test_delta_product_rule():
