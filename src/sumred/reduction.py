@@ -27,6 +27,11 @@ tower, for every context on it:
    increment such as 1/(x^2+1), or a tower without seeds) the seed context
    has a representative of its own choosing, and from then on each context
    computes its level data itself.
+ * the well-generated rebuild (tower', iso) of telescope.well_generate,
+   for contexts without notes. It reads only the tower and the
+   representative lists, and a context without notes holds the seed
+   lists, so every such context gets the same rebuild; sharing the object
+   also shares the rebuilt tower's own caches across calls.
 
 The split into a polynomial part and a proper part is preserved by the
 shift, so the two reduce independently:
@@ -66,23 +71,27 @@ class _PerTower:
     """What every context on one tower shares.
 
     factors caches factor_monic, keyed by the polynomial. seed is the
-    tower's seed context, made on the first level-data lookup.
+    tower's seed context, made on the first level-data lookup. rebuilt is
+    the (tower', iso) that telescope.well_generate returns for a context
+    without notes, made on its first call.
     """
 
-    __slots__ = ("factors", "seed")
+    __slots__ = ("factors", "seed", "rebuilt")
 
     def __init__(self):
         self.factors = {}
         self.seed = None
+        self.rebuilt = None
 
 
 class ReductionContext:
     """Session state for reductions over one tower.
 
     Per context: reps, notes (level, irr), one per new representative, and
-    the classification cache. Per tower: factorizations, and the level data
+    the classification cache. Per tower: factorizations, the level data
     and echelon rows of the tower's seed context while that context has met
-    seeded classes only (see the module docstring for why that is exact).
+    seeded classes only, and the well-generated rebuild for contexts without
+    notes (see the module docstring for why that is exact).
     """
 
     def __init__(self, tower):

@@ -108,7 +108,21 @@ def substitute(v, offsets, target):
 
 
 def well_generate(ctx):
-    """Rebuild the tower so that every increment is its own remainder."""
+    """Rebuild the tower so that every increment is its own remainder.
+
+    The rebuild reads only ctx.tower and ctx.reps. A context without notes
+    holds the seed lists, so its rebuild is made once per tower and shared,
+    and with it the rebuilt tower's caches; a context with notes rebuilds.
+    """
+    if ctx.notes:
+        return _rebuild(ctx)
+    shared = ctx._per_tower
+    if shared.rebuilt is None:
+        shared.rebuilt = _rebuild(ctx)
+    return shared.rebuilt
+
+
+def _rebuild(ctx):
     src = ctx.tower
     carried = {lv: tuple(ctx.reps.get(lv, ()))
                for lv in range(1, src.nlevels + 1)}

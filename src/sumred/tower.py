@@ -157,8 +157,8 @@ class TowerSpec:
         self._by_name = {name: d for d, name in enumerate(self.names) if d}
         # sigma^k as the translation by S_k, one per k
         self._shifts = {}
-        # what reduction's contexts share over this tower (factorizations
-        # and the seed context), set by the first context made on it
+        # what reduction's contexts share over this tower (a
+        # reduction._PerTower), set by the first context made on it
         self._reduction = None
 
     @staticmethod

@@ -2,17 +2,29 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import (B_TOWER, H_TOWER, N_TOWER, P_TOWER, Q_TOWER,
                       assert_sigma_pair, delta, parse, rand_value)
-from sumred.algebra import lift, vdepth, zero_at
+from sumred import reduction
+from sumred.algebra import Poly, lift, vdepth, zero_at
 from sumred.errors import InvalidTowerError
+from sumred.exprio import format_poly, format_value
 from sumred.reduction import ReductionContext, complete_reduction
 from sumred.telescope import (depth_reduce, nesting_depth, nullspace_basis,
                               parameterized_telescope, sigma_check, telescope,
                               well_generate)
+from sumred.towerfile import load_tower_file, parse_tower_text
+
+NESTED = Path(__file__).resolve().parent.parent / "towers" / "nested.tower"
+
+# t1 and t2 meet x^2 + 1 and x + 2, which no seed names, so the seed
+# context and the rebuild pick representatives of their own
+UNSEEDED_TEXT = ("gen x : 1\n"
+                 "gen t1 : 1/(x^2+1)\n"
+                 "gen t2 : (t1+1)/(x+2)\n")
 
 
 def _is_const(tower, v):
@@ -220,10 +232,10 @@ def test_rebuilt_increments_are_their_own_remainders():
 
 
 def test_redundant_level_is_rejected():
-    from sumred.towerfile import parse_tower_text
     bad = parse_tower_text("gen x : 1\nseed x : x\ngen s : 2*x+1\n")
     with pytest.raises(InvalidTowerError, match="redundant"):
         well_generate(ReductionContext(bad))
+    assert bad._reduction.rebuilt is None
 
 
 def test_rebuilt_tower_recognizes_increment_combinations():
@@ -259,6 +271,70 @@ def test_depth_reduce_summable_input():
     assert res.depth_before == 3
     assert res.depth_after == 2
     assert res.iso.apply(f) == res.iso.target.delta(res.g)
+
+
+def test_depth_reduce_reuses_the_rebuilt_tower(monkeypatch):
+    tower = load_tower_file(NESTED)
+    f = parse(tower, "t2/x")
+    first = depth_reduce(ReductionContext(tower), f)
+    second = depth_reduce(ReductionContext(tower), parse(tower, "t1^2/(x+1)"))
+    assert second.iso.target is first.iso.target
+    assert second.iso is first.iso
+
+    calls = []
+    factor_monic = reduction.factor_monic
+
+    def counted(p):
+        calls.append(p)
+        return factor_monic(p)
+
+    monkeypatch.setattr(reduction, "factor_monic", counted)
+    again = depth_reduce(ReductionContext(tower), f)
+    assert calls == []
+    assert (again.g, again.r) == (first.g, first.r)
+
+
+def test_context_with_notes_rebuilds_on_its_own():
+    tower = load_tower_file(NESTED)
+    irr = Poly((Fraction(1), Fraction(0), Fraction(1)))
+    for warm in (False, True):
+        if warm:
+            well_generate(ReductionContext(tower))
+        ctx = ReductionContext(tower)
+        before = tower._reduction.rebuilt
+        telescope(ctx, parse(tower, "1/(x^2+1)"))
+        assert ctx.notes == [(1, irr)]
+        spec, iso = well_generate(ctx)
+        assert irr in spec.gens[0].seed_reps
+        assert tower._reduction.rebuilt is before
+        assert before is None or spec is not before[0]
+        assert iso.source is tower
+
+
+def _printed_depth_reduce(tower, f):
+    res = depth_reduce(ReductionContext(tower), f)
+    new = res.iso.target
+    return (format_value(new, res.g), format_value(new, res.r),
+            res.depth_before, res.depth_after,
+            [(gen.name, format_value(new, new.lift_to_top(gen.delta)),
+              [format_poly(new, p, new.depth_of_level(level))
+               for p in gen.seed_reps])
+             for level, gen in enumerate(new.gens, start=1)],
+            [format_value(new, img) for img in res.iso.images])
+
+
+@pytest.mark.parametrize("text, seed", [
+    (NESTED.read_text(), 900), (UNSEEDED_TEXT, 101)],
+    ids=["nested", "unseeded"])
+def test_shared_rebuild_matches_a_fresh_tower(text, seed):
+    warm = parse_tower_text(text)
+    rng = random.Random(seed)
+    for _ in range(6):
+        f_text = format_value(warm, rand_value(warm, rng, 2))
+        fresh = parse_tower_text(text)
+        assert (_printed_depth_reduce(warm, parse(warm, f_text))
+                == _printed_depth_reduce(fresh, parse(fresh, f_text)))
+    assert warm._reduction.rebuilt is not None
 
 
 def test_nesting_depth_metric():
