@@ -17,16 +17,17 @@ tower, for every context on it:
 
  * factorizations, which depend on the polynomial alone;
  * the level data: each increment's reduction pair, the pivot coordinate
-   of its residue and the echelon rows. These are computed in the tower's
-   seed context, which is handed the tower's own data only, never an
-   input, and they are shared while its representative lists are still
-   the seed lists. That is exact: every context's lists start with the
-   same seeds in the same order and a class has one representative, so a
-   computation that met only seeded classes classifies every factor the
+   of its residue and the level's difference pairs. These are computed in
+   the tower's seed context, which is handed the tower's own data only,
+   never an input, and they are shared while its representative lists are
+   still the seed lists. That is exact: every context's lists start with
+   the same seeds in the same order and a class has one representative, so
+   a computation that met only seeded classes classifies every factor the
    same way in any context. Once a lookup meets an unseeded class (an
    increment such as 1/(x^2+1), or a tower without seeds) the seed context
    has a representative of its own choosing, and from then on each context
-   computes its level data itself.
+   computes its level data itself. A difference pair is a shift of an
+   explicit polynomial, so it classifies nothing.
  * the well-generated rebuild (tower', iso) of telescope.well_generate,
    for contexts without notes. It reads only the tower and the
    representative lists, and a context without notes holds the seed
@@ -42,9 +43,10 @@ shift, so the two reduce independently:
    sigma^s(e) for e = sigma^(-s)(piece) over rep^m: e joins the remainder,
    and sigma^s(e) - e = sigma(h) - h for the orbit sum h = sigma_sum(e, s)
    joins g. What stays is not a difference unless it cancels completely.
- * polynomial parts: coefficient-wise reduction below the level (the
-   auxiliary pass), then elimination of the summable residue against an
-   echelon basis whose rows are exact differences with known remainders.
+ * polynomial parts: one descent from the top degree d. The leading
+   coefficient reduces one level below to (g_d, r_d), and the difference
+   pair of w_d = t^(d+1)/(d+1) - g*t^d removes the pivot coordinate of
+   r_d. The later steps reduce what both leave below degree d.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ class ReductionContext:
 
     Per context: reps, notes (level, irr), one per new representative, and
     the classification cache. Per tower: factorizations, the level data
-    and echelon rows of the tower's seed context while that context has met
-    seeded classes only, and the well-generated rebuild for contexts without
-    notes (see the module docstring for why that is exact).
+    (difference pairs included) of the tower's seed context while that
+    context has met seeded classes only, and the well-generated rebuild for
+    contexts without notes (see the module docstring for why that is
+    exact).
     """
 
     def __init__(self, tower):
@@ -104,22 +107,6 @@ class ReductionContext:
         self._per_tower = tower._reduction
         self._classify_cache = {}
         self._levels = {}
-        self._echelon = {}
-
-    def _from_seeds(self, lookup, *args):
-        """lookup(seed context, *args), or None when it cannot be shared.
-
-        A note is written exactly when a representative is added, so a seed
-        context without notes has the seed lists and nothing else.
-        """
-        shared = self._per_tower
-        seed = shared.seed
-        if seed is None:
-            seed = shared.seed = ReductionContext(self.tower)
-        if seed is self or seed.notes:
-            return None
-        hit = lookup(seed, *args)
-        return None if seed.notes else hit
 
     # -- shift-class bookkeeping -------------------------------------------
 
@@ -161,51 +148,45 @@ class ReductionContext:
     # -- per-level reduction data -------------------------------------------
 
     def level_data(self, level):
-        """(g, v, element, c): increment = shift(g) - g + v with v the
-        canonical residue, and c the coordinate of v at the pivot element.
+        """(g, v, element, c, pairs): increment = shift(g) - g + v with v
+        the canonical residue, c the coordinate of v at the pivot element,
+        and pairs the difference pairs that echelon_entry builds from g.
 
         Raises InvalidTowerError when v is zero: the level is redundant.
         """
         hit = self._levels.get(level)
-        if hit is None:
-            hit = self._from_seeds(ReductionContext.level_data, level)
-            if hit is None:
-                gen = self.tower.gens[level - 1]
-                g, v = complete_reduction(self, gen.delta)
-                if _is_zero_val(v):
-                    raise InvalidTowerError(
-                        f"increment of {gen.name!r} is a difference of "
-                        f"elements below it; the tower level is redundant")
-                hit = (g, v, *leading_coordinate(self, v))
-            self._levels[level] = hit
+        if hit is not None:
+            return hit
+        seed = self._per_tower.seed
+        if seed is None:
+            seed = self._per_tower.seed = ReductionContext(self.tower)
+        # a note is written exactly when a representative is added, so a
+        # seed context without notes has the seed lists and nothing else
+        if seed is not self and not seed.notes:
+            hit = seed.level_data(level)
+        if hit is None or seed.notes:
+            gen = self.tower.gens[level - 1]
+            g, v = complete_reduction(self, gen.delta)
+            if _is_zero_val(v):
+                raise InvalidTowerError(
+                    f"increment of {gen.name!r} is a difference of "
+                    f"elements below it; the tower level is redundant")
+            hit = (g, v, *leading_coordinate(self, v), [])
+        self._levels[level] = hit
         return hit
 
     def echelon_entry(self, level, i):
-        """The i-th echelon pair (w, b): both polynomials in the level
-        variable, b of degree exactly i, with shift(w) - w = b."""
-        depth = self.tower.depth_of_level(level)
-        below = depth - 1
-        rows = self._echelon.get(level)
-        if rows is None:
-            hit = self._from_seeds(ReductionContext.echelon_entry, level, i)
-            if hit is not None:
-                return hit
-            g_t, v, _e, _c = self.level_data(level)
-            w0 = Poly((-g_t, one_at(below)))
-            rows = [(w0, Poly((v,)))]
-            self._echelon[level] = rows
-        g_t, v, _e, _c = self._levels[level]
-        while len(rows) <= i:
-            j = len(rows)
+        """The i-th difference pair (w, b) of the level: polynomials in the
+        level variable with w = t^(i+1)/(i+1) - g*t^i, g from level_data,
+        and b = shift(w) - w = v*t^i + terms of lower degree."""
+        below = self.tower.depth_of_level(level) - 1
+        g_t, _v, _e, _c, pairs = self.level_data(level)
+        while len(pairs) <= i:
+            j = len(pairs)
             inv = frac_at(Fraction(1, j + 1), below)
-            a = Poly((zero_at(below),) * j + (-g_t, inv))
-            mono_v = Poly((zero_at(below),) * j + (v,))
-            wtil = self.delta_poly(a, depth) - mono_v
-            if wtil.degree() >= j:
-                raise AssertionError("echelon extension degree did not drop")
-            q, r = auxiliary_reduction(self, wtil, depth)
-            rows.append((a - q, mono_v + r))
-        return rows[i]
+            w = Poly((zero_at(below),) * j + (-g_t, inv))
+            pairs.append((w, self.delta_poly(w, below + 1)))
+        return pairs[i]
 
     def delta_poly(self, p, depth):
         return self.tower.sigma_poly(p, depth, 1) - p
@@ -252,7 +233,8 @@ def auxiliary_reduction(ctx, p, depth):
     """Coefficient-wise reduction of a polynomial in the level variable.
 
     Returns polynomials (q, r) with p = shift(q) - q + r and every
-    coefficient of r a canonical remainder one level below.
+    coefficient of r a canonical remainder one level below. This is the
+    paper's coefficient-wise pass; reduce_polynomial no longer runs it.
     """
     below = depth - 1
     q = Poly(())
@@ -274,21 +256,35 @@ def auxiliary_reduction(ctx, p, depth):
 
 def reduce_polynomial(ctx, p, depth):
     """Reduce a polynomial part; returns (q, v) polynomials with
-    p = shift(q) - q + v and v a canonical remainder."""
-    q, v = auxiliary_reduction(ctx, p, depth)
-    if v.is_zero():
-        return q, v
-    level = depth - ctx.tower.nparams
-    _g, _v, element, c = ctx.level_data(level)
+    p = shift(q) - q + v and v a canonical remainder.
+
+    One descent from the top degree. The level data is read only once
+    some remainder coefficient is nonzero, as computing it may classify.
+    """
     below = depth - 1
-    for j in range(v.degree(), -1, -1):
-        ctil = coordinate_of(ctx, element, v.coeff(j, below))
-        if _is_zero_val(ctil):
-            continue
-        ratio = lift(ctil / c, below)
-        w_j, b_j = ctx.echelon_entry(level, j)
-        v = v - b_j.scale(ratio)
-        q = q + w_j.scale(ratio)
+    level = depth - ctx.tower.nparams
+    q = v = Poly(())
+    while not p.is_zero():
+        d = p.degree()
+        gd, rd = complete_reduction(ctx, p.lc())
+        pad = (zero_at(below),) * d
+        w = Poly(pad + (gd,))
+        b = ctx.delta_poly(w, depth)
+        if not _is_zero_val(rd):
+            _g, v_l, element, c, _pairs = ctx.level_data(level)
+            ctil = coordinate_of(ctx, element, rd)
+            if not _is_zero_val(ctil):
+                ratio = lift(ctil / c, below)
+                w_d, b_d = ctx.echelon_entry(level, d)
+                w = w + w_d.scale(ratio)
+                b = b + b_d.scale(ratio)
+                rd = rd - v_l * ratio
+        mono_r = Poly(pad + (rd,))
+        p = p - b - mono_r
+        if p.degree() >= d:
+            raise AssertionError("polynomial reduction degree did not drop")
+        q = q + w
+        v = v + mono_r
     return q, v
 
 

@@ -76,7 +76,7 @@ def shift_equivalence(ctx, p, q, depth):
     c = (q.coeff(d - 1, below) - p.coeff(d - 1, below)) / d
     _g, rc = complete_reduction(ctx, c)
     level = depth - ctx.tower.nparams
-    _g, v, _e, _c = ctx.level_data(level)  # InvalidTowerError when v == 0
+    _g, v, _e, _c, _p = ctx.level_data(level)  # InvalidTowerError if v == 0
     k = lower(rc / v, 0)
     if k is None or k.denominator != 1 or k == 0:
         return None

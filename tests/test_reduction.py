@@ -3,18 +3,19 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sumred.algebra import (Poly, RatFunc, coprime_split, drop, lift, lower,
-                            one_at, zero_at)
+from sumred.algebra import (Poly, RatFunc, coprime_split, drop, frac_at, lift,
+                            lower, one_at, zero_at)
 from sumred import reduction
 from sumred.effbasis import BASIS_ONE, coordinate_of
 from sumred.reduction import (ReductionContext, auxiliary_reduction,
                               complete_reduction, reduce_polynomial,
                               reduce_proper)
 from sumred.tower import TowerSpec
-from sumred.towerfile import parse_tower_text
+from sumred.towerfile import load_tower_file, parse_tower_text
 
 from conftest import (B_TOWER, H_TOWER, N_TOWER, P_TOWER, Q_TOWER,
                       assert_sigma_pair, delta, parse, rand_rat1, rand_value)
@@ -149,10 +150,11 @@ def test_echelon_golden():
     w1, b1 = ctx.echelon_entry(2, 1)
     assert lift(RatFunc.from_poly(w0, 2), 2) == parse(H_TOWER, "t1 - 1/x")
     assert lift(RatFunc.from_poly(b0, 2), 2) == parse(H_TOWER, "1/x")
+    # raw pairs: w1 = t1^2/2 - g*t1 with g = 1/x, and b1 = shift(w1) - w1
     assert lift(RatFunc.from_poly(w1, 2), 2) == parse(
-        H_TOWER, "t1^2/2 - t1/x + 1/(2*x^2)")
+        H_TOWER, "t1^2/2 - t1/x")
     assert lift(RatFunc.from_poly(b1, 2), 2) == parse(
-        H_TOWER, "t1/x - 1/(2*x^2)")
+        H_TOWER, "t1/x - 1/(2*(x+1)^2)")
     wx0, bx0 = ctx.echelon_entry(1, 0)
     wx1, bx1 = ctx.echelon_entry(1, 1)
     assert wx0 == X1 and bx0 == Poly((Fraction(1),))
@@ -185,8 +187,8 @@ def test_polynomial_reduction_golden():
     q, v = reduce_polynomial(ctx, p.num, 2)
     assert lift(RatFunc.from_poly(v, 2), 2) == parse(H_TOWER,
                                                      "1/(2*x^2) - 1/x^3")
-    w1, _b1 = ctx.echelon_entry(2, 1)
-    assert q == w1
+    assert lift(RatFunc.from_poly(q, 2), 2) == parse(
+        H_TOWER, "t1^2/2 - t1/x + 1/(2*x^2)")
     q1, v1 = reduce_polynomial(ctx, Poly((Fraction(1),)), 1)
     assert q1 == X1 and v1.is_zero()
     q0, v0 = reduce_polynomial(ctx, Poly(()), 1)
@@ -219,15 +221,15 @@ def test_complete_reduction_golden_nested():
 
 def test_session_pairs_golden():
     ctx = ReductionContext(H_TOWER)
-    g1, v1, th1, c1 = ctx.level_data(1)
+    g1, v1, th1, c1, _p1 = ctx.level_data(1)
     assert g1 == Fraction(0) and v1 == Fraction(1)
     assert th1 == BASIS_ONE and c1 == Fraction(1)
-    g2, v2, th2, c2 = ctx.level_data(2)
+    g2, v2, th2, c2, _p2 = ctx.level_data(2)
     assert lift(g2, 2) == parse(H_TOWER, "1/x")
     assert lift(v2, 2) == parse(H_TOWER, "1/x")
     assert th2 == BASIS_ONE.extended(1, 0, X1, 1) and c2 == Fraction(1)
     ctxn = ReductionContext(N_TOWER)
-    g3, v3, th3, c3 = ctxn.level_data(3)
+    g3, v3, th3, c3, _p3 = ctxn.level_data(3)
     assert lift(g3, 3) == parse(N_TOWER, "t1^2/2 + 1/(2*x^2)")
     assert lift(v3, 3) == parse(N_TOWER, "1/(2*x^2)")
     assert th3 == BASIS_ONE.extended(1, 0, X1, 2) and c3 == Fraction(1, 2)
@@ -380,7 +382,7 @@ def test_indicator_bound():
 def test_remainder_relation_one_level_up():
     rng = random.Random(606)
     ctx = ReductionContext(H_TOWER)
-    _gfp, v, th, c = ctx.level_data(2)
+    _gfp, v, th, c, _pairs = ctx.level_data(2)
     for _ in range(200):
         f = rand_rat1(H_TOWER, rng, 2)
         _g1, low = complete_reduction(ctx, f)
@@ -535,3 +537,145 @@ def test_warm_tower_reduces_like_a_fresh_copy(tower):
         warm = complete_reduction(ReductionContext(tower), f)
         copy = TowerSpec(tower.gens, params=tower.params)
         assert warm == complete_reduction(ReductionContext(copy), f)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial part against the two-pass reduction
+# ---------------------------------------------------------------------------
+
+
+def _reduced_rows(ctx, level, n):
+    """Echelon rows 0..n as the two-pass reduction built them: row j is the
+    difference pair of t^(j+1)/(j+1) - g*t^j with its lower coefficients
+    reduced by an auxiliary pass, so that b_j = v*t^j + reduced terms."""
+    depth = ctx.tower.depth_of_level(level)
+    below = depth - 1
+    g_t, v, _e, _c, _pairs = ctx.level_data(level)
+    rows = [(Poly((-g_t, one_at(below))), Poly((v,)))]
+    for j in range(1, n + 1):
+        pad = (zero_at(below),) * j
+        a = Poly(pad + (-g_t, frac_at(Fraction(1, j + 1), below)))
+        mono_v = Poly(pad + (v,))
+        q, r = auxiliary_reduction(ctx, ctx.delta_poly(a, depth) - mono_v,
+                                   depth)
+        rows.append((a - q, mono_v + r))
+    return rows
+
+
+def _two_pass_reduce_polynomial(ctx, p, depth):
+    """reduce_polynomial as two passes, for reference: the auxiliary pass
+    over every coefficient, then elimination of the pivot coordinates of
+    its remainder against the reduced echelon rows, from the top down."""
+    q, v = auxiliary_reduction(ctx, p, depth)
+    if v.is_zero():
+        return q, v
+    level = depth - ctx.tower.nparams
+    _g, _v, element, c, _pairs = ctx.level_data(level)
+    below = depth - 1
+    rows = _reduced_rows(ctx, level, v.degree())
+    for j in range(v.degree(), -1, -1):
+        ctil = coordinate_of(ctx, element, v.coeff(j, below))
+        if _is_zero(ctil):
+            continue
+        ratio = lift(ctil / c, below)
+        w_j, b_j = rows[j]
+        v = v - b_j.scale(ratio)
+        q = q + w_j.scale(ratio)
+    return q, v
+
+
+# coefficient texts, by the top variable of the depth below the level
+_POLY_POOLS = {
+    None: ("1", "-3", "5/2"),
+    "n": ("1", "n", "1/(n+1)"),
+    "x": ("x", "1/x", "2/(x+3)", "1/(x^2+1)", "x^2", "1/(x+1)^2"),
+    "t1": ("t1", "1/t1", "x/(t1+1)", "t1^2/(x+1)", "1/x"),
+}
+
+
+def _rand_poly_part(tower, rng, level, degree):
+    below = tower.depth_of_level(level) - 1
+    pool = [lower(parse(tower, text), below)
+            for text in _POLY_POOLS[tower.names[below]]]
+    coeffs = []
+    for _ in range(degree + 1):
+        c = zero_at(below)
+        for _ in range(rng.randint(0, 2)):
+            c = c + rng.choice(pool) * Fraction(rng.randint(-4, 4),
+                                                rng.randint(1, 3))
+        coeffs.append(c)
+    if _is_zero(coeffs[-1]):
+        coeffs[-1] = one_at(below)
+    return Poly(coeffs)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+@pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, B_TOWER, P_TOWER,
+                                   UNSEEDED],
+                         ids=["H", "N", "B", "P", "no-seed"])
+def test_one_descent_matches_the_two_pass_reduction(tower, shared):
+    # each side on its own copy of the tower, so that neither finds the
+    # other's level data. Without seeds a context computes its own level
+    # data, and the two algorithms read it at different points (see the
+    # next test), so there both sides read it before the first input
+    rng = random.Random(2300)
+    copies = [TowerSpec(tower.gens, params=tower.params) for _ in range(2)]
+    for level in range(1, tower.nlevels + 1):
+        depth = tower.depth_of_level(level)
+        kept = [ReductionContext(t) for t in copies]
+        for degree in range(7):
+            p = _rand_poly_part(tower, rng, level, degree)
+            ctxs = kept if shared else [ReductionContext(t) for t in copies]
+            if tower is UNSEEDED:
+                for ctx in ctxs:
+                    ctx.level_data(level)
+            one = reduce_polynomial(ctxs[0], p, depth)
+            assert one == _two_pass_reduce_polynomial(ctxs[1], p, depth)
+            assert ctxs[0].notes == ctxs[1].notes
+
+
+def test_level_data_is_read_at_the_first_nonzero_remainder():
+    # without seeds a fresh context computes the level data itself, and
+    # that meets the class of x + 1. The descent reads it at the first
+    # nonzero remainder coefficient, 1/(x^2+1), before it reduces
+    # 1/(x+3)^2, so x + 1 represents the class; the two-pass reduction
+    # reduced every coefficient first, and x + 3 did
+    tower = TowerSpec(UNSEEDED.gens, params=UNSEEDED.params)
+    f = _dd(parse(tower, "t1^3/(x^2+1) + t1/(x+3)^2"), 2)
+    assert f.den.is_one()
+    reps = {}
+    for reduce in (reduce_polynomial, _two_pass_reduce_polynomial):
+        ctx = ReductionContext(tower)
+        q, v = reduce(ctx, f.num, 2)
+        g, r = RatFunc.from_poly(q, 2), RatFunc.from_poly(v, 2)
+        assert_sigma_pair(tower, f, g, r)
+        reps[reduce] = [irr for _level, irr in ctx.notes]
+    quad = lower(parse(tower, "x^2+1"), 1).num
+    assert reps[reduce_polynomial] == [quad, lower(parse(tower, "x+1"), 1).num]
+    assert reps[_two_pass_reduce_polynomial] == [
+        quad, lower(parse(tower, "x+3"), 1).num]
+
+
+HARMONIC = Path(__file__).resolve().parent.parent / "towers" / "harmonic.tower"
+
+
+def test_polynomial_part_takes_few_reductions_below(monkeypatch):
+    # at most one complete_reduction per coefficient of the descent. An
+    # auxiliary pass inside every difference pair would make the count
+    # grow with k^2 (824 calls at k = 40, 3,244 at k = 80)
+    original = reduction.complete_reduction
+    for k in (40, 80):
+        tower = load_tower_file(HARMONIC)
+        calls = []
+
+        def counting(ctx, f):
+            calls.append(f)
+            return original(ctx, f)
+
+        monkeypatch.setattr(reduction, "complete_reduction", counting)
+        g, r = reduction.complete_reduction(ReductionContext(tower),
+                                            parse(tower, f"x^{k}"))
+        monkeypatch.undo()
+        assert _is_zero(r)
+        assert tower.delta(g) == parse(tower, f"x^{k}")
+        assert len(calls) <= 2 * k

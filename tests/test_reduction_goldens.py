@@ -9,7 +9,10 @@ noted. The cases are:
  * nested: level-2 shifts on the nested tower, all in one context, so that
    later inputs meet earlier representatives at nonzero shifts;
  * fresh / shared: seeded random values on five towers, each value once in
-   a fresh context and once in one context shared by the tower's values.
+   a fresh context and once in one context shared by the tower's values;
+ * poly: high-degree polynomial parts on the harmonic and nested towers,
+   each in a fresh context, and two on a tower without seeds, each once in
+   a fresh context and once in one shared context.
 
 Every context is made on a fresh copy of its tower, so nothing another test
 left in a tower's caches reaches these results. To rewrite the file after
@@ -92,10 +95,28 @@ def _random_cases():
             yield f"shared {name} {i}", _printed(shared, f)
 
 
+def _poly_cases():
+    harmonic = load_tower_file(ROOT / "towers" / "harmonic.tower")
+    nested = load_tower_file(ROOT / "towers" / "nested.tower")
+    for tower, text in ((harmonic, "x^40"), (harmonic, "t1^12"),
+                        (harmonic, "x^6*t1^5 + t1^3/(x+2)"),
+                        (nested, "t2^6*t1^2")):
+        tower = _copy(tower)
+        yield f"poly {text}", _printed(ReductionContext(tower),
+                                       parse(tower, text))
+    unseeded = _RANDOM_TOWERS["unseeded"]
+    shared = ReductionContext(_copy(unseeded))
+    for text in ("x^2*t1^4 + t1^2/(x+2)", "t1^3/(x^2+1) + t1/(x+3)^2"):
+        f = parse(unseeded, text)
+        yield (f"fresh unseeded {text}",
+               _printed(ReductionContext(_copy(unseeded)), f))
+        yield f"shared unseeded {text}", _printed(shared, f)
+
+
 def compute():
     """Every case as {"id", "g", "r", "notes"}, in a fixed order."""
     out = []
-    for cases in (_shift_cases, _nested_cases, _random_cases):
+    for cases in (_shift_cases, _nested_cases, _random_cases, _poly_cases):
         for case_id, printed in cases():
             out.append({"id": case_id, **printed})
     return out

@@ -1,0 +1,100 @@
+"""One digest per workload and seed over the printed results of the
+benchmark's operations.
+
+    python3 tools/output_digest.py [--root CHECKOUT] [--seeds 900,101]
+
+For each workload and seed this builds the benchmark's own inputs with the
+checkout's benchmark/workloads.py, which it imports and does not change,
+runs a fixed number of whole rounds of operations through the checkout's
+sumred, and prints one SHA-256 over what they print:
+
+ * poly and session: g and r of each telescope result;
+ * creative: the coefficients and certificate of each basis row, and g, r,
+   the nesting depths and the rebuilt generators of each depth_reduce
+   result;
+ * oneshot: the `sumred verify --json` document, with its timing_ms and
+   the checkout's path masked.
+
+A typed failure is printed as its class name. Two checkouts give equal
+digests when their operations print the same results. To compare a change
+with its parent, unpack the parent into a directory of its own and point
+--root at it (this script need not exist there):
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 tools/output_digest.py --root ../parent
+    python3 tools/output_digest.py
+"""
+
+import argparse
+import hashlib
+import json
+import re
+import sys
+from pathlib import Path
+
+# Operations per digest: whole rounds of each workload's input mix (two
+# whole sessions for session).
+OPS = {"poly": 54, "session": 84, "oneshot": 42, "creative": 56}
+
+_TIMING = re.compile(r'"timing_ms": [0-9.e+-]+')
+
+
+def _printed(wl, item, out, root):
+    from sumred.exprio import format_value
+
+    name = wl.name
+    if name in ("poly", "session"):
+        tower = wl.towers[next(iter(wl.towers))]
+        return [format_value(tower, out.g), format_value(tower, out.r)]
+    if name == "oneshot":
+        code, doc = out
+        return [str(code), _TIMING.sub('"timing_ms": _', doc).replace(
+            str(root), "<root>")]
+    if item[0] == "param":
+        tower = wl.towers["creative.tower"]
+        return [[format_value(tower, c) for c in row.coeffs]
+                + [format_value(tower, row.certificate)] for row in out]
+    target = out.iso.target
+    gens = [[gen.name, format_value(target, gen.delta)]
+            for gen in target.gens]
+    return [format_value(target, out.g), format_value(target, out.r),
+            out.depth_before, out.depth_after, gens]
+
+
+def digest(workloads, root, name, seed):
+    """SHA-256 over the printed results of OPS[name] operations."""
+    from sumred.errors import SummationError
+
+    wl = workloads.WORKLOADS[name](root, seed)
+    sha = hashlib.sha256()
+    for _ in range(OPS[name]):
+        item = wl.next_item()
+        try:
+            printed = _printed(wl, item, wl.run(item), root)
+        except SummationError as e:
+            printed = type(e).__name__
+        sha.update(json.dumps(printed).encode() + b"\n")
+    return sha.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", default=str(Path(__file__).resolve()
+                                               .parent.parent),
+                        help="the sumred checkout to run (default: this one)")
+    parser.add_argument("--seeds", default="900,101")
+    args = parser.parse_args(argv)
+    root = Path(args.root).resolve()
+    sys.dont_write_bytecode = True  # leave the checkout as it is
+    sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
+    import workloads
+
+    for name in OPS:
+        for seed in args.seeds.split(","):
+            print(name, seed, digest(workloads, root, name, int(seed)),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
