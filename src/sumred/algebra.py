@@ -128,7 +128,8 @@ sigmafactor factors denominators through the same pair: it hands the image
 to sympy's dmp_factor_list and rebuilds each factor, so it never reads the
 image format itself. A quadratic with coefficients of depth 0 or 1 it
 splits on the stored integers instead (as_integers), with math.isqrt or
-_zsqrt for the square root of the discriminant.
+_zsqrt for the square root of the discriminant, and over Q it divides
+out translates of known classes with _zeval, _ztaylor and _zexquo.
 
 The optional integer cap (SUMRED_MAX_INT_BITS, which the command line
 applies for the duration of each run) is checked on every Poly built, so
@@ -138,7 +139,7 @@ per Poly when unset. The integers inside the kernels and the gcd
 computations (the pseudo-remainders, _qpoly_gcd, the cancellation chains,
 the ZZ images and the integer images of _xgcd_by_image) are not checked,
 nor are the discriminant of a quadratic and its square root in
-sigmafactor.
+sigmafactor, or the root bound and the trial quotients of its peel.
 """
 
 from __future__ import annotations

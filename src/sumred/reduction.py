@@ -15,7 +15,9 @@ is classified once, so reducing f again gives the same pair.
 What does not depend on a context's own representatives is kept once per
 tower, for every context on it:
 
- * factorizations, which depend on the polynomial alone;
+ * factorizations, which depend on the polynomial alone: the level-1
+   representatives a context hands factor_monic change its cost, never
+   its list (the monic irreducible factors are unique);
  * the level data: each increment's reduction pair, the pivot coordinate
    of its residue and the level's difference pairs. These are computed in
    the tower's seed context, which is handed the tower's own data only,
@@ -72,10 +74,11 @@ from .sigmafactor import factor_monic, shift_equivalence
 class _PerTower:
     """What every context on one tower shares.
 
-    factors caches factor_monic, keyed by the polynomial. seed is the
-    tower's seed context, made on the first level-data lookup. rebuilt is
-    the (tower', iso) that telescope.well_generate returns for a context
-    without notes, made on its first call.
+    factors caches factor_monic, keyed by the polynomial alone (see the
+    module docstring). seed is the tower's seed context, made on the first
+    level-data lookup. rebuilt is the (tower', iso) that
+    telescope.well_generate returns for a context without notes, made on
+    its first call.
     """
 
     __slots__ = ("factors", "seed", "rebuilt")
@@ -111,11 +114,18 @@ class ReductionContext:
     # -- shift-class bookkeeping -------------------------------------------
 
     def factor(self, p):
-        """Monic irreducible factorization, cached per tower."""
+        """Monic irreducible factorization, cached per tower.
+
+        Over Q every level-1 representative of the context, not only the
+        seeds, goes to factor_monic as a known class, whose shifts it
+        divides out before it factors the cofactor; the list returned does
+        not depend on them, so the cache is keyed by p.
+        """
         cache = self._per_tower.factors
         hit = cache.get(p)
         if hit is None:
-            hit = cache[p] = factor_monic(p)
+            known = self.reps[1] if self.tower.nparams == 0 else ()
+            hit = cache[p] = factor_monic(p, known)
         return hit
 
     def classify_den(self, den, depth):

@@ -10,9 +10,9 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dmp_factor_list
 
-from sumred.algebra import (Poly, _monic_from_zz, _zz_poly, lower, one_at,
-                            poly_sort_key, vdepth, zero_at)
-from sumred.reduction import ReductionContext
+from sumred.algebra import (Poly, _monic_from_zz, _zeval, _zz_poly, lower,
+                            one_at, poly_sort_key, vdepth, zero_at)
+from sumred.reduction import ReductionContext, complete_reduction
 from sumred import sigmafactor
 from sumred.sigmafactor import factor_monic, shift_equivalence
 from sumred.towerfile import load_tower_file, parse_tower_text
@@ -335,3 +335,89 @@ def test_factor_monic_splits_quadratics_without_the_factorizer(monkeypatch):
     cubic = lower(parse(H_TOWER, "t1^3 - x"), 2).num
     assert factor_monic(cubic) == [(cubic, 1)]
     assert calls == [2, 1]
+
+
+# classes the peel scans: x, x + 1/2, x^2 + 1 and x^2 + x + 1 over Q
+_PEEL_CLASSES = (_q(0, 1), _q(Fraction(1, 2), 1), _q(1, 0, 1), _q(1, 1, 1))
+
+
+def test_factor_monic_peels_known_classes_as_the_factorizer():
+    rng = random.Random(240)
+    seed_only = (_PEEL_CLASSES[0],)
+    # a cubic, a quartic and a sextic class, of higher degree than some p;
+    # x^3 - 2 is in no known class
+    higher = (_q(1, 1, 0, 1), _q(1, 0, 0, 0, 1), _q(2, 0, 0, 0, 0, 0, 1))
+    lists = (seed_only, _PEEL_CLASSES, _PEEL_CLASSES[::-1] + higher)
+    cases = [_q(0, 0, 0, 1), _q(-2, 0, 0, 1), _q(0, 0, 1) * _q(-2, 0, 0, 1),
+             _q(-2, 0, 0, 1) * _q(1, 0, 1)]
+    for _ in range(40):
+        p = _q(rng.choice((1, 2, -3, Fraction(5, 7))))
+        for _k in range(rng.randint(1, 4)):
+            q = rng.choice(_PEEL_CLASSES + (_q(-2, 0, 0, 1),))
+            k = rng.randint(-8, 8)
+            p = p * Q_TOWER.sigma_poly(q, 1, k) ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            p = p * _q(0, 1) ** rng.randint(1, 3)
+        cases.append(p)
+    for p in cases:
+        plain = factor_monic(p)
+        assert plain == _wang(p)
+        for known in lists:
+            assert factor_monic(p, known) == plain, (p, known)
+
+
+def test_factor_monic_peel_is_bounded(monkeypatch):
+    tried, factored = [], []
+
+    def record(x, xi):
+        tried.append((id(x), xi))
+        return _zeval(x, xi)
+
+    def record_factor(f, u, dom):
+        factored.append(len(f) - 1)
+        return dmp_factor_list(f, u, dom)
+
+    monkeypatch.setattr(sigmafactor, "_zeval", record)
+    monkeypatch.setattr(sigmafactor, "dmp_factor_list", record_factor)
+    known = _PEEL_CLASSES
+    # roots of modulus 10^5 widen the window past the cap: nothing is tried
+    far = _q(-10 ** 5, 1) * _q(1, 0, 1) * _q(3, 1) * _q(1, 1, 1)
+    # roots of modulus up to 25 keep it under the cap
+    near = _q(-25, 1) * _q(25, 1) * _q(2, 2, 1) * _q(1, 1, 1) * _q(-7, 1)
+    # roots near x = -40: the window is centred at the mean of the roots
+    cluster = (_q(40, 1) * _q(41, 1) ** 2 * _q(1601, 80, 1)
+               * _q(1723, 83, 1))
+    for p, peeled in ((far, False), (near, True), (cluster, True)):
+        tried.clear()
+        factored.clear()
+        assert factor_monic(p, known) == _wang(p)
+        per_rep = [sum(1 for i, _k in tried if i == id(q.as_integers()[0]))
+                   for q in known]
+        assert max(per_rep) <= sigmafactor._PEEL_CAP
+        assert factored == ([] if peeled else [p.degree()])
+        assert (sum(per_rep) > 0) == peeled
+
+
+def test_peeled_classes_skip_the_factorizer(monkeypatch):
+    """Denominators made of shifts of known level-1 classes classify in a
+    context on nested.tower with the factorizer refused, as with it."""
+    texts = ("2*(x+1)^2*(x-4)*(x-5)", "(x^2+1)*((x+3)^2+1)*(x-2)")
+
+    def classified(plain):
+        tower = load_tower_file(TOWERS / "nested.tower")
+        ctx = ReductionContext(tower)
+        if plain:
+            ctx.factor = factor_monic
+        out = [_classified(ctx, lower(parse(tower, texts[0]), 1).num, 1)]
+        complete_reduction(ctx, parse(tower, "1/(x^2+1)"))
+        out.append(_classified(ctx, lower(parse(tower, texts[1]), 1).num, 1))
+        return out
+
+    expect = classified(plain=True)
+
+    def refuse(*_args):
+        raise AssertionError("a known class reached the factorizer")
+
+    monkeypatch.setattr(sigmafactor, "dmp_factor_list", refuse)
+    assert classified(plain=False) == expect
+    assert [len(comps) for comps in expect] == [3, 3]

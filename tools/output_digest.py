@@ -2,11 +2,13 @@
 benchmark's operations.
 
     python3 tools/output_digest.py [--root CHECKOUT] [--seeds 900,101]
+                                   [--workloads session,oneshot]
 
-For each workload and seed this builds the benchmark's own inputs with the
-checkout's benchmark/workloads.py, which it imports and does not change,
-runs a fixed number of whole rounds of operations through the checkout's
-sumred, and prints one SHA-256 over what they print:
+For each workload (all four unless --workloads names some) and seed this
+builds the benchmark's own inputs with the checkout's
+benchmark/workloads.py, which it imports and does not change, runs a fixed
+number of whole rounds of operations through the checkout's sumred, and
+prints one SHA-256 over what they print:
 
  * poly and session: g and r of each telescope result;
  * creative: the coefficients and certificate of each basis row, and g, r,
@@ -83,13 +85,19 @@ def main(argv=None):
                                                .parent.parent),
                         help="the sumred checkout to run (default: this one)")
     parser.add_argument("--seeds", default="900,101")
+    parser.add_argument("--workloads", default=",".join(OPS),
+                        help="comma-separated workloads (default: all)")
     args = parser.parse_args(argv)
+    names = args.workloads.split(",")
+    unknown = [name for name in names if name not in OPS]
+    if unknown:
+        parser.error(f"unknown workload(s): {', '.join(unknown)}")
     root = Path(args.root).resolve()
     sys.dont_write_bytecode = True  # leave the checkout as it is
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     import workloads
 
-    for name in OPS:
+    for name in names:
         for seed in args.seeds.split(","):
             print(name, seed, digest(workloads, root, name, int(seed)),
                   flush=True)
