@@ -7,7 +7,7 @@ the rebuilt tower, verify a pointwise numeric check, bench a timing
 table over random summable inputs, checking each pair (g, 0) against
 sigma(g) - g = f outside the timed part (each trial reduces in a fresh
 context, but the trials share one tower, so trials after the first run
-on the tower's warm factorizations and level data).
+on the tower's warm factorizations, shift classes and level data).
 
 Every subcommand has one output path. It parses its inputs, times its
 library call with _timed and hands its own fields and text lines to
@@ -109,7 +109,7 @@ def _args_bench(p):
     p.description = ("Time reductions of random summable inputs. Each trial "
                      "reduces in a fresh context on one shared tower, so "
                      "trials after the first run on the tower's warm "
-                     "factorizations and level data.")
+                     "factorizations, shift classes and level data.")
     _common(p, exprs="none")
     p.add_argument("--degrees", default="5,10,15",
                    help="comma separated total degrees, each >= 0")

@@ -6,35 +6,30 @@ equal remainders certify that two inputs differ by a difference. The zero
 test and the equality test for indefinite nested sums both ride on this.
 
 A ReductionContext carries the mutable session state: the representative
-sets that pin shift classes, the notes on new representatives and the
-classification cache. Results are deterministic for a fixed tower and seed
-list; reusing one context across calls keeps earlier choices (and therefore
-earlier answers) stable: a class has one representative and a denominator
-is classified once, so reducing f again gives the same pair.
+sets that pin shift classes and the notes on new representatives. Results
+are deterministic for a fixed tower and seed list; reusing one context
+across calls keeps earlier choices (and therefore earlier answers) stable:
+a class has one representative and an irreducible is classified once, so
+reducing f again gives the same pair.
 
-What does not depend on a context's own representatives is kept once per
-tower, for every context on it:
-
- * factorizations, which depend on the polynomial alone: the level-1
-   representatives a context hands factor_monic change its cost, never
-   its list (the monic irreducible factors are unique);
- * the level data: each increment's reduction pair, the pivot coordinate
-   of its residue and the level's difference pairs. These are computed in
-   the tower's seed context, which is handed the tower's own data only,
-   never an input, and they are shared while its representative lists are
-   still the seed lists. That is exact: every context's lists start with
-   the same seeds in the same order and a class has one representative, so
-   a computation that met only seeded classes classifies every factor the
-   same way in any context. Once a lookup meets an unseeded class (an
-   increment such as 1/(x^2+1), or a tower without seeds) the seed context
-   has a representative of its own choosing, and from then on each context
-   computes its level data itself. A difference pair is a shift of an
-   explicit polynomial, so it classifies nothing.
- * the well-generated rebuild (tower', iso) of telescope.well_generate,
-   for contexts without notes. It reads only the tower and the
-   representative lists, and a context without notes holds the seed
-   lists, so every such context gets the same rebuild; sharing the object
-   also shares the rebuilt tower's own caches across calls.
+What contexts share follows one rule. Factorizations depend on the
+polynomial alone (the level-1 representatives a context hands factor_monic
+change its cost, never its list), so they are kept once per tower. The
+class of each irreducible (irr -> (rep, shift)) and each level's data (the
+increment's reduction pair, the pivot coordinate of its residue and the
+level's difference pairs) are written to the tower's tables while the
+context that computes them has no notes, and to the context's own tables
+once it has one; every context reads its own tables, then the tower's.
+That is exact: a note is written exactly when a representative is added,
+so a context without notes holds the seed lists; every context's lists
+start with those seeds in the same order, and a class keeps its first
+representative. A computation that ends without a note has therefore met
+seeded classes only, and any context makes it the same way. One that adds
+a note (an increment such as 1/(x^2+1), or a tower without seeds) depends
+on the context's own choice, and stays with it. The well-generated rebuild
+(tower', iso) of telescope.well_generate reads every representative, so it
+is shared among contexts without notes only; sharing the object also
+shares the rebuilt tower's own caches across calls.
 
 The split into a polynomial part and a proper part is preserved by the
 shift, so the two reduce independently:
@@ -72,20 +67,18 @@ from .sigmafactor import factor_monic, shift_equivalence
 
 
 class _PerTower:
-    """What every context on one tower shares.
+    """What every context on one tower shares (see the module docstring):
+    factors caches factor_monic by polynomial; classes (irr -> (rep,
+    shift)) and levels (level -> level data) hold what contexts without
+    notes computed; rebuilt is the (tower', iso) of telescope.well_generate
+    for contexts without notes."""
 
-    factors caches factor_monic, keyed by the polynomial alone (see the
-    module docstring). seed is the tower's seed context, made on the first
-    level-data lookup. rebuilt is the (tower', iso) that
-    telescope.well_generate returns for a context without notes, made on
-    its first call.
-    """
-
-    __slots__ = ("factors", "seed", "rebuilt")
+    __slots__ = ("factors", "classes", "levels", "rebuilt")
 
     def __init__(self):
         self.factors = {}
-        self.seed = None
+        self.classes = {}
+        self.levels = {}
         self.rebuilt = None
 
 
@@ -93,11 +86,8 @@ class ReductionContext:
     """Session state for reductions over one tower.
 
     Per context: reps, notes (level, irr), one per new representative, and
-    the classification cache. Per tower: factorizations, the level data
-    (difference pairs included) of the tower's seed context while that
-    context has met seeded classes only, and the well-generated rebuild for
-    contexts without notes (see the module docstring for why that is
-    exact).
+    the classes and level data computed after the first note. Everything
+    else is read from, and written to, the tower's _PerTower.
     """
 
     def __init__(self, tower):
@@ -108,7 +98,7 @@ class ReductionContext:
         if tower._reduction is None:
             tower._reduction = _PerTower()
         self._per_tower = tower._reduction
-        self._classify_cache = {}
+        self._classes = {}
         self._levels = {}
 
     # -- shift-class bookkeeping -------------------------------------------
@@ -135,25 +125,27 @@ class ReductionContext:
         Unmatched irreducibles become new representatives at shift zero, in
         that same order.
         """
-        hit = self._classify_cache.get(den)
+        return tuple((irr, mult, *self._class_of(irr, depth))
+                     for irr, mult in self.factor(den))
+
+    def _class_of(self, irr, depth):
+        hit = self._classes.get(irr) or self._per_tower.classes.get(irr)
         if hit is not None:
             return hit
         level = depth - self.tower.nparams
         reps = self.reps[level]
-        out = []
-        for irr, mult in self.factor(den):
-            for rep in reps:
-                shift = shift_equivalence(self, rep, irr, depth)
-                if shift is not None:
-                    break
-            else:
-                reps.append(irr)
-                self.notes.append((level, irr))
-                rep, shift = irr, 0
-            out.append((irr, mult, rep, shift))
-        out = tuple(out)
-        self._classify_cache[den] = out
-        return out
+        for rep in reps:
+            shift = shift_equivalence(self, rep, irr, depth)
+            if shift is not None:
+                hit = (rep, shift)
+                break
+        else:
+            reps.append(irr)
+            self.notes.append((level, irr))
+            hit = (irr, 0)
+        # the tower's table while the context has no notes, its own after
+        (self._classes if self.notes else self._per_tower.classes)[irr] = hit
+        return hit
 
     # -- per-level reduction data -------------------------------------------
 
@@ -164,17 +156,8 @@ class ReductionContext:
 
         Raises InvalidTowerError when v is zero: the level is redundant.
         """
-        hit = self._levels.get(level)
-        if hit is not None:
-            return hit
-        seed = self._per_tower.seed
-        if seed is None:
-            seed = self._per_tower.seed = ReductionContext(self.tower)
-        # a note is written exactly when a representative is added, so a
-        # seed context without notes has the seed lists and nothing else
-        if seed is not self and not seed.notes:
-            hit = seed.level_data(level)
-        if hit is None or seed.notes:
+        hit = self._levels.get(level) or self._per_tower.levels.get(level)
+        if hit is None:
             gen = self.tower.gens[level - 1]
             g, v = complete_reduction(self, gen.delta)
             if _is_zero_val(v):
@@ -182,7 +165,8 @@ class ReductionContext:
                     f"increment of {gen.name!r} is a difference of "
                     f"elements below it; the tower level is redundant")
             hit = (g, v, *leading_coordinate(self, v), [])
-        self._levels[level] = hit
+            (self._levels if self.notes
+             else self._per_tower.levels)[level] = hit
         return hit
 
     def echelon_entry(self, level, i):

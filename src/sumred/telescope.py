@@ -110,9 +110,12 @@ def substitute(v, offsets, target):
 def well_generate(ctx):
     """Rebuild the tower so that every increment is its own remainder.
 
-    The rebuild reads only ctx.tower and ctx.reps. A context without notes
-    holds the seed lists, so its rebuild is made once per tower and shared,
-    and with it the rebuilt tower's caches; a context with notes rebuilds.
+    The rebuild reads only ctx.tower and ctx.reps, and copies every
+    representative into the new tower. A context without notes holds the
+    seed lists, so its rebuild is made once per tower and shared, and with
+    it the rebuilt tower's caches. A context with notes rebuilds on its
+    own: unlike a class or a level's data, the rebuild depends on all of
+    its representatives.
     """
     if ctx.notes:
         return _rebuild(ctx)

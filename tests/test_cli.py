@@ -86,6 +86,52 @@ def test_verify_usage_error_is_a_typed_document(capsys, tower, extra, needle):
     assert needle in doc["error"]["message"]
 
 
+# a tower text (with a newline) is written to a file first; None drops --tower
+@pytest.mark.parametrize("tower,argv,kind,message", [
+    (HARMONIC, ["reduce", "--expr", "x$1"], "ParseError",
+     "bad character '$' at column 2"),
+    (HARMONIC, ["reduce", "--expr", ")"], "ParseError",
+     "expected a value, found ')' at column 1"),
+    (HARMONIC, ["reduce", "--expr", "x^y"], "ParseError",
+     "expected an integer exponent, found 'y' at column 3"),
+    (HARMONIC, ["reduce", "--expr", "x^(2"], "ParseError",
+     "expected ')', found end of input at column 5"),
+    (HARMONIC, ["reduce", "--expr", "0^-1"], "ParseError",
+     "zero raised to a negative power at column 2"),
+    (HARMONIC, ["verify", "--expr", "1/t1", "--verify-range", "5"],
+     "ParseError", "--verify-range wants A..B, got '5'"),
+    (HARMONIC, ["verify", "--expr", "1/t1", "--verify-range", "a..b"],
+     "ParseError", "--verify-range wants integers, got 'a..b'"),
+    (HARMONIC, ["verify", "--expr", "1/t1", "--verify-range", "5..1"],
+     "ParseError", "--verify-range is empty"),
+    (HARMONIC, ["verify", "--expr", "1/t1", "--param", "n"], "ParseError",
+     "expected NAME=VALUE, got 'n'"),
+    (None, ["reduce", "--expr", "x"], "ParseError",
+     "--tower FILE is required"),
+    ("params 1n\ngen x : 1\n", ["reduce", "--expr", "x"],
+     "InvalidTowerError", "bad parameter name '1n'"),
+    ("gen x : 1\ngen x : 1\n", ["reduce", "--expr", "x"],
+     "InvalidTowerError", "duplicate name 'x'"),
+    ("gen x : 1\ngen t1 : 1/x - 1/(x+1)\n", ["reduce", "--expr", "t1"],
+     "InvalidTowerError", "increment of 't1' is a difference of elements "
+     "below it; the tower level is redundant"),
+], ids=["bad-character", "no-value", "non-integer-exponent", "unclosed",
+        "zero-to-negative-power", "range-without-dots", "range-not-integers",
+        "empty-range", "param-without-value", "no-tower", "bad-param-name",
+        "duplicate-generator", "redundant-level"])
+def test_typed_error_exits(capsys, tmp_path, tower, argv, kind, message):
+    if tower is not None and "\n" in tower:
+        path = tmp_path / "t.tower"
+        path.write_text(tower)
+        tower = str(path)
+    if tower is not None:
+        argv = argv[:1] + ["--tower", tower] + argv[1:]
+    code, doc = run_json(capsys, argv)
+    assert code == 2
+    assert doc["command"] == argv[0]
+    assert doc["error"] == {"type": kind, "message": message}
+
+
 def test_reduce_irreducible_cubic_above_the_bottom(capsys):
     code, doc = run_json(capsys, ["reduce", "--tower", HARMONIC,
                                   "--expr", "1/(t1^3+x)"])

@@ -540,6 +540,119 @@ def test_warm_tower_reduces_like_a_fresh_copy(tower):
 
 
 # ---------------------------------------------------------------------------
+# one sharing rule: a context without notes writes to the tower's tables
+# ---------------------------------------------------------------------------
+
+NESTED = Path(__file__).resolve().parent.parent / "towers" / "nested.tower"
+# no seed at all: x^2 + 1 and x + 2 become representatives of a context's
+# own choosing
+UNSEEDED_NESTED = ("gen x : 1\n"
+                   "gen t1 : 1/(x^2+1)\n"
+                   "gen t2 : (t1+1)/(x+2)\n")
+# a seeded quadratic class, met by the increment and by the inputs
+SEEDED_QUAD = ("gen x : 1\n"
+               "seed x : x\n"
+               "seed x : x^2+1\n"
+               "gen t1 : 1/(x^2+2*x+2)\n"
+               "gen t2 : t1/(x+1)\n")
+
+# summand texts; {a} and {b} are small shifts
+_SHARING_TERMS = ("1/(x+{a})", "(x+{b})/((x+{a})^2+1)",
+                  "1/((x+{a})^2+x+{a}+1)", "t1/(x+{a})", "1/(t1+{b})",
+                  "1/(t1+1/(x+{a}))", "t1^2/(x+{a})^2", "x*t2")
+
+
+def _tower_of(source):
+    return (load_tower_file(source) if isinstance(source, Path)
+            else parse_tower_text(source))
+
+
+def _sharing_input(tower, rng):
+    terms = [rng.choice(_SHARING_TERMS).format(a=rng.randint(-2, 3),
+                                               b=rng.randint(1, 3))
+             for _ in range(rng.randint(1, 2))]
+    return parse(tower, " + ".join(f"{rng.randint(1, 3)}*({t})"
+                                   for t in terms))
+
+
+def _replayed(source, history):
+    """(g, r, notes) after each input of history, in one context on a
+    freshly parsed tower."""
+    ctx = ReductionContext(_tower_of(source))
+    out = []
+    for f in history:
+        g, r = complete_reduction(ctx, f)
+        out.append((g, r, list(ctx.notes)))
+    return out
+
+
+@pytest.mark.parametrize("source", [NESTED, UNSEEDED_NESTED, SEEDED_QUAD],
+                         ids=["nested", "unseeded", "seeded-quadratic"])
+def test_contexts_answer_as_a_replay_of_their_own_history(source):
+    # fresh contexts and one long-lived context, interleaved on one tower,
+    # give what each would give alone on a tower of its own
+    tower = _tower_of(source)
+    rng = random.Random(2500)
+    kept = ReductionContext(tower)
+    kept_history, kept_seen = [], []
+    for _ in range(14):
+        f = _sharing_input(tower, rng)
+        ctx = kept if rng.random() < 0.5 else ReductionContext(tower)
+        g, r = complete_reduction(ctx, f)
+        seen = (g, r, list(ctx.notes))
+        if ctx is kept:
+            kept_history.append(f)
+            kept_seen.append(seen)
+        else:
+            assert [seen] == _replayed(source, [f])
+    assert kept_seen == _replayed(source, kept_history)
+
+
+@pytest.mark.parametrize("text,dens,depth", [
+    ("gen x : 1\nseed x : x\nseed x : x^2+1\n",
+     ("(x+3)*(x^2+2*x+2)", "(x+3)^2*(x^2+2*x+2)"), 1),
+    ("gen x : 1\nseed x : x\ngen t1 : 1/(x+1)\nseed t1 : t1\n",
+     ("(t1+1/(x+1))*(t1+1/(x+1)+1/(x+2))",
+      "(t1+1/(x+1))^2*(t1+1/(x+1)+1/(x+2))"), 2),
+], ids=["level-1", "level-2"])
+def test_a_classified_irreducible_is_not_tested_again(monkeypatch, text,
+                                                       dens, depth):
+    tower = parse_tower_text(text)
+    first, second = (lower(parse(tower, f"1/({d})"), depth).den
+                     for d in dens)
+    calls = []
+    original = reduction.shift_equivalence
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reduction, "shift_equivalence", counting)
+    ctx = ReductionContext(tower)
+    comps = ctx.classify_den(first, depth)
+    assert calls and ctx.notes == []
+    del calls[:]
+    # a new denominator over the same irreducibles, in the same context
+    assert ([c[2:] for c in ctx.classify_den(second, depth)]
+            == [c[2:] for c in comps])
+    # a fresh context on the warm tower
+    assert ReductionContext(tower).classify_den(first, depth) == comps
+    assert calls == []
+
+
+def test_a_class_that_added_a_note_stays_with_its_context():
+    tower = parse_tower_text(UNSEEDED_NESTED)
+    f = lower(parse(tower, "1/(x^2+1) + 1/(x^2+2*x+2)"), 1)
+    quad = lower(parse(tower, "x^2+1"), 1).num
+    a = ReductionContext(tower)
+    pair = complete_reduction(a, f)
+    assert a.notes == [(1, quad)]
+    b = ReductionContext(tower)
+    assert complete_reduction(b, f) == pair
+    assert b.notes == [(1, quad)]
+
+
+# ---------------------------------------------------------------------------
 # the polynomial part against the two-pass reduction
 # ---------------------------------------------------------------------------
 

@@ -20,8 +20,8 @@ from sumred.towerfile import load_tower_file, parse_tower_text
 
 NESTED = Path(__file__).resolve().parent.parent / "towers" / "nested.tower"
 
-# t1 and t2 meet x^2 + 1 and x + 2, which no seed names, so the seed
-# context and the rebuild pick representatives of their own
+# t1 and t2 meet x^2 + 1 and x + 2, which no seed names, so the contexts
+# and the rebuild pick representatives of their own
 UNSEEDED_TEXT = ("gen x : 1\n"
                  "gen t1 : 1/(x^2+1)\n"
                  "gen t2 : (t1+1)/(x+2)\n")
@@ -183,6 +183,15 @@ def test_well_generated_rebuild():
     assert iso.images[0] == parse(spec2, "x")
     assert iso.images[1] == parse(spec2, "u1 + 1/x")
     assert iso.images[2] == parse(spec2, "u2 + u1^2/2 + u1/x + 1/x^2")
+
+
+def test_rebuilt_names_avoid_the_old_ones():
+    # the renamed level 1 would be u1, which the tower already uses
+    tower = parse_tower_text("gen x : 1\nseed x : x\ngen u1 : 1/(x+1)\n"
+                             "gen t2 : ((x+1)*u1+1)/(x+1)^2\n")
+    spec2, iso = well_generate(ReductionContext(tower))
+    assert [g.name for g in spec2.gens] == ["x", "u1_", "u2"]
+    assert iso.images[1] == parse(spec2, "u1_ + 1/x")
 
 
 @pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, B_TOWER, P_TOWER],

@@ -7,11 +7,14 @@ import pytest
 
 from sumred.algebra import Poly, RatFunc, frac_at, lift, lower, vdepth
 from sumred.errors import InvalidTowerError
+from sumred.reduction import ReductionContext, complete_reduction
+from sumred.sequences import SequenceAssignment, verify_sigma_pair
+from sumred.telescope import telescope
 from sumred.tower import Generator, TowerSpec
 from sumred.towerfile import parse_tower_text
 
-from conftest import (B_TOWER, H_TOWER, N_TOWER, P_TOWER, Q_TOWER, delta,
-                      parse, rand_rat1, rand_value)
+from conftest import (B_TOWER, H_TOWER, N_TOWER, P_TOWER, Q_TOWER,
+                      assert_sigma_pair, delta, parse, rand_rat1, rand_value)
 
 
 def test_depth_bookkeeping():
@@ -105,6 +108,23 @@ def test_sigma_with_a_constant_increment_is_one_substitution():
     x = Q_TOWER.var("x")
     assert Q_TOWER.sigma(x, 10 ** 6) == x + 10 ** 6
     assert Q_TOWER.sigma(x * x, -10 ** 6) == (x - 10 ** 6) ** 2
+
+
+def test_a_half_step_increment():
+    # sigma(x) = x + 1/2 translates by a non-integer, at level 1 and inside
+    # the level-2 coefficients
+    tower = parse_tower_text("gen x : 1/2\nseed x : x\ngen t1 : 1/(x+1)\n")
+    v = parse(tower, "t1^2/(x+3) + x*t1 + 1/(t1+x)")
+    assert tower.sigma(tower.sigma(v, 3), 2) == tower.sigma(v, 5)
+    f = parse(tower, "1/(x+1/2)")
+    g, r = complete_reduction(ReductionContext(tower), f)
+    assert r == 0
+    assert g == parse(tower, "t1 - 2/(2*x+1)")
+    assert_sigma_pair(tower, f, g, r)
+    f = parse(tower, "t1/(x+2)")
+    report = verify_sigma_pair(tower, f, telescope(ReductionContext(tower), f),
+                               SequenceAssignment(tower), 1, 8)
+    assert report.checked == 8 and report.failures == []
 
 
 def test_sigma_inverse_roundtrip():

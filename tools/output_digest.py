@@ -15,7 +15,14 @@ prints one SHA-256 over what they print:
    the nesting depths and the rebuilt generators of each depth_reduce
    result;
  * oneshot: the `sumred verify --json` document, with its timing_ms and
-   the checkout's path masked.
+   the checkout's path masked;
+ * every workload: the notes of each ReductionContext the operation makes
+   outside sumred.reduction (captured by wrapping the checkout's
+   ReductionContext.__init__; a context the reduction module makes for
+   its own bookkeeping is not the operation's) and of session's
+   long-lived context, one `level N: <poly>` per new
+   representative. A context that took a class it should have noted from
+   another context prints the same g and r, but not the same notes.
 
 A typed failure is printed as its class name. Two checkouts give equal
 digests when their operations print the same results. To compare a change
@@ -63,19 +70,45 @@ def _printed(wl, item, out, root):
             out.depth_before, out.depth_after, gens]
 
 
-def digest(workloads, root, name, seed):
-    """SHA-256 over the printed results of OPS[name] operations."""
-    from sumred.errors import SummationError
+def _notes(ctx):
+    from sumred.exprio import format_poly
 
-    wl = workloads.WORKLOADS[name](root, seed)
-    sha = hashlib.sha256()
-    for _ in range(OPS[name]):
-        item = wl.next_item()
-        try:
-            printed = _printed(wl, item, wl.run(item), root)
-        except SummationError as e:
-            printed = type(e).__name__
-        sha.update(json.dumps(printed).encode() + b"\n")
+    tower = ctx.tower
+    return [f"level {level}: "
+            + format_poly(tower, irr, tower.depth_of_level(level))
+            for level, irr in ctx.notes]
+
+
+def digest(workloads, root, name, seed):
+    """SHA-256 over the printed results and the contexts' notes of
+    OPS[name] operations."""
+    from sumred.errors import SummationError
+    from sumred.reduction import ReductionContext
+
+    made = []
+    init = ReductionContext.__init__
+
+    def recording_init(ctx, *args, **kwargs):
+        init(ctx, *args, **kwargs)
+        if sys._getframe(1).f_globals["__name__"] != "sumred.reduction":
+            made.append(ctx)
+
+    ReductionContext.__init__ = recording_init
+    try:
+        wl = workloads.WORKLOADS[name](root, seed)
+        sha = hashlib.sha256()
+        for _ in range(OPS[name]):
+            item = wl.next_item()
+            del made[:]
+            try:
+                printed = _printed(wl, item, wl.run(item), root)
+            except SummationError as e:
+                printed = type(e).__name__
+            used = made + ([wl.ctx] if name == "session" else [])
+            sha.update(json.dumps([printed, [_notes(ctx) for ctx in used]])
+                       .encode() + b"\n")
+    finally:
+        ReductionContext.__init__ = init
     return sha.hexdigest()
 
 
