@@ -84,6 +84,8 @@ values is summed term by term (_to_xpoly).
 RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) it forms
 n1 * (d2/g) + n2 * (d1/g) over d1 * (d2/g), and only gcd(num, g) can cancel,
 nothing at all when g = 1, so the full product d1 * d2 is never reduced.
+Terms with pairwise coprime denominators, as in a proper part's orbit walk,
+go through coprime_sum (the inverse of coprime_split), which takes no gcd.
 
 Products and inverses take no final gcd (Henrici; Knuth, TAOCP vol. 2
 section 4.5.1). A product cancels n1 against d2 and n2 against d1; each
@@ -1484,6 +1486,16 @@ def coprime_split(num, moduli):
         rest = (rest - a * r).exact_div(q)
     out.append(rest)
     return out
+
+
+def coprime_sum(terms, depth):
+    """Sum terms with pairwise coprime denominators as n1 * d2 + n2 * d1 over
+    d1 * d2: canonical with no gcd, as no factor of d_i divides n_i or d_j."""
+    terms = [v for v in terms if not v.num.is_zero()] or [zero_at(depth)]
+    num, den = terms[0].num, terms[0].den
+    for v in terms[1:]:
+        num, den = num * v.den + v.num * den, den * v.den
+    return RatFunc(num, den, depth, _trusted=True)
 
 
 def modular_residue(num, cofactor, modulus):

@@ -38,8 +38,11 @@ shift, so the two reduce independently:
    each irr = sigma^s(rep) for its class representative, and a
    partial-fraction pass isolates the piece over each. A piece is
    sigma^s(e) for e = sigma^(-s)(piece) over rep^m: e joins the remainder,
-   and sigma^s(e) - e = sigma(h) - h for the orbit sum h = sigma_sum(e, s)
-   joins g. What stays is not a difference unless it cancels completely.
+   and the orbit sum h of e, with sigma^s(e) - e = sigma(h) - h, joins g.
+   One walk per class forms its orbit sums, one sigma per step. No
+   irreducible is a shift of itself in a Sigma*-extension (Karr 1981), so
+   the terms lie over pairwise coprime denominators and add with no gcd.
+   What stays is not a difference unless it cancels completely.
  * polynomial parts: one descent from the top degree d. The leading
    coefficient reduces one level below to (g_d, r_d), and the difference
    pair of w_d = t^(d+1)/(d+1) - g*t^d removes the pivot coordinate of
@@ -55,6 +58,7 @@ from .algebra import (
     RatFunc,
     _is_zero_val,
     coprime_split,
+    coprime_sum,
     frac_at,
     lift,
     one_at,
@@ -195,10 +199,12 @@ def reduce_proper(ctx, f):
     """Reduce a proper fraction in lowest terms; returns (g, r) as values at
     the same depth.
 
-    The numerator splits over the powers irr^m of the denominator. With
-    irr = sigma^s(rep), the piece over irr^m is sigma^s(e) for e over rep^m.
-    r is the sum of the e's and g the sum of their orbit sums
-    h = sigma_sum(e, s), since sigma^s(e) - e = sigma(h) - h.
+    With irr = sigma^s(rep), the piece p over irr^m is sigma^s(e) for e
+    over rep^m. r sums the e's; g sums one walk per class and sign of s.
+    Up: Y_0 sums the e's with s > 0, and Y_j = sigma(Y_(j-1)) - p at s = j
+    is the sum of sigma^j(e) over s > j. Down: W_1 = sigma^(-1)(-e's with
+    s < 0), W_(j+1) = sigma^(-1)(W_j + p at s = -j). Each term lies over a
+    power of its own sigma^j(rep), and coprime_sum adds them.
     """
     depth = f.depth
     zero = zero_at(depth)
@@ -207,15 +213,27 @@ def reduce_proper(ctx, f):
     tower = ctx.tower
     comps = ctx.classify_den(f.den, depth)
     pieces = coprime_split(f.num, [irr ** mult for irr, mult, _r, _s in comps])
-    g = r = zero
-    for (_irr, mult, rep, shift), num in zip(comps, pieces):
+    walks = {}
+    for (irr, mult, rep, shift), num in zip(comps, pieces):
         # f is in lowest terms, so num is coprime to irr; sigma^(-s) keeps
         # it coprime to rep, and rep is monic
         e = RatFunc(tower.sigma_poly(num, depth, -shift), rep ** mult, depth,
                     _trusted=True)
-        g = g + tower.sigma_sum(e, shift)
-        r = r + e
-    return g, r
+        walks.setdefault(rep, []).append(
+            (shift, e, RatFunc(num, irr ** mult, depth, _trusted=True)))
+    g, r = [], []
+    for walk in walks.values():
+        r.append(sum((e for _s, e, _p in walk), zero))
+        for step in (1, -1):
+            arrive = {s * step: p for s, _e, p in walk if s * step > 0}
+            y = sum((e for s, e, _p in walk if s * step > 0), zero)
+            y = tower.sigma(-y, -1) if step < 0 and arrive else y
+            for j in range(1, max(arrive, default=1)):
+                g.append(y)
+                y = (tower.sigma(y, 1) - arrive.get(j, zero) if step > 0
+                     else tower.sigma(y + arrive.get(j, zero), -1))
+            g.append(y)
+    return coprime_sum(g, depth), coprime_sum(r, depth)
 
 
 # ---------------------------------------------------------------------------

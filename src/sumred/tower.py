@@ -12,8 +12,8 @@ sigma_sum(a_i, k) is the orbit sum of sigma^j(a_i) over 0 <= j < k (for
 k < 0, minus the sum over k <= j < 0); at level 1, S_k = k*a_1. A
 Translation moves t to t + s at every depth at once. The tower keeps one
 per k, which reads S_k at a level only when a value there is shifted.
-Transport between towers (telescope module) is a translation too, and the
-orbit sum is also the certificate of a proper part (reduction module).
+Transport between towers (telescope module) is a translation too. sigma_sum
+serves S_k only: a proper part walks its orbits itself (reduction module).
 
 Polynomials whose coefficients are stored as integers (depth 1 and 2, see
 the algebra module) are translated on those integers in one call
@@ -223,8 +223,8 @@ class TowerSpec:
 
     def sigma_sum(self, v, k):
         """The orbit sum h with sigma(h) - h = sigma^k(v) - v: the sum of
-        sigma^j(v) over 0 <= j < k, for k < 0 minus the sum over k <= j < 0.
-        It is k*v when the shift fixes v, and zero at k = 0."""
+        sigma^j(v) over 0 <= j < k, for k < 0 minus the sum over k <= j < 0
+        (k*v if the shift fixes v, zero at k = 0). It serves S_k (_shift)."""
         if vdepth(v) <= self.nparams:
             return v * k
         if k == 0:

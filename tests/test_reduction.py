@@ -93,8 +93,9 @@ _CHAIN_POOLS = {
 @pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, P_TOWER],
                          ids=["H", "N", "P"])
 def test_proper_part_matches_the_stepping_chain(tower):
-    # pieces over sigma^s(rep)^m, s in -4..4 and m in 1..2, two to a value
-    # so that the split matters, all in one context
+    # four to six pieces over sigma^s(rep)^m per value, all in one context:
+    # one class at shifts of both signs, pieces whose e's cancel in r, and
+    # random pieces over two classes
     rng = random.Random(1818)
     ctx = ReductionContext(tower)
     for level in range(1, tower.nlevels + 1):
@@ -104,16 +105,25 @@ def test_proper_part_matches_the_stepping_chain(tower):
         for rep in reps:
             ctx.classify_den(rep, depth)
         coeffs = [lower(parse(tower, t), depth - 1) for t in coeff_texts]
-        for _ in range(3):
-            f = zero_at(depth)
-            for _ in range(2):
-                rep, s = rng.choice(reps), rng.randint(-4, 4)
-                den = tower.sigma_poly(rep, depth, s) ** rng.randint(1, 2)
-                num = Poly(tuple(rng.choice(coeffs)
-                                 for _ in range(den.degree())))
-                f = f + RatFunc(num, den, depth)
-            assert reduce_proper(ctx, f) == _chain_reduce_proper(
-                ctx, f, depth)
+
+        def piece(rep, s, m):
+            den = tower.sigma_poly(rep, depth, s) ** m
+            num = Poly(tuple(rng.choice(coeffs) for _ in range(den.degree())))
+            return RatFunc(num, den, depth)
+
+        one_class = sum((piece(reps[0], s, 1) for s in (-3, -1, 0, 2, 5)),
+                        zero_at(depth))
+        e = piece(reps[0], 0, 2)
+        cancel = (tower.sigma(e, -2) - tower.sigma(e, 3)
+                  + piece(reps[0], 1, 1) + piece(reps[1], -1, 1))
+        mixed = sum((piece(rng.choice(reps), rng.randint(-4, 4), 1)
+                     for _ in range(rng.randint(4, 6))), zero_at(depth))
+        for f in (one_class, cancel, mixed):
+            g, r = reduce_proper(ctx, f)
+            assert (g, r) == _chain_reduce_proper(ctx, f, depth)
+            # the gcd-free sums are in canonical form
+            for v in (g, r):
+                assert v == RatFunc(v.num, v.den, depth)
 
 
 def test_sigma_sum_is_the_orbit_sum():

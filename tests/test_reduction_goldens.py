@@ -12,7 +12,10 @@ noted. The cases are:
    a fresh context and once in one context shared by the tower's values;
  * poly: high-degree polynomial parts on the harmonic and nested towers,
    each in a fresh context, and two on a tower without seeds, each once in
-   a fresh context and once in one shared context.
+   a fresh context and once in one shared context;
+ * multi: proper parts with several pieces per shift class at shifts of
+   both signs, one or two classes per denominator, on the harmonic and
+   nested towers, each in a fresh context.
 
 Every context is made on a fresh copy of its tower, so nothing another test
 left in a tower's caches reaches these results. To rewrite the file after
@@ -113,10 +116,56 @@ def _poly_cases():
         yield f"shared unseeded {text}", _printed(shared, f)
 
 
+# per case: a tower file and its pieces (numerator, rep, shift, mult), each
+# numerator / sigma^shift(rep)^mult
+MULTI_CASES = (
+    ("harmonic.tower", (("1", "t1", -3, 1), ("x", "t1", -1, 1),
+                        ("2/(x+3)", "t1", 0, 1), ("-1", "t1", 2, 1),
+                        ("3", "t1", 5, 1))),
+    ("harmonic.tower", (("t1", "t1", -2, 2), ("1", "t1", -1, 1),
+                        ("x", "t1", 1, 2), ("1/(x+1)", "t1", 3, 1),
+                        ("2*t1 + x", "t1", 4, 2))),
+    # the e's cancel in r
+    ("harmonic.tower", (("1", "t1", -1, 1), ("-1", "t1", 2, 1),
+                        ("5", "t1", 3, 2), ("-5", "t1", -2, 2))),
+    ("harmonic.tower", (("1", "t1", -2, 1), ("x", "t1^2 + x", 3, 1),
+                        ("1", "t1^2 + x", -1, 1), ("1/x", "t1", 4, 1),
+                        ("t1", "t1^2 + x", 0, 1), ("3", "t1", 1, 1))),
+    ("harmonic.tower", (("1", "x", -4, 2), ("-2", "x", -2, 1),
+                        ("3", "x", 1, 1), ("x", "x", 3, 2), ("1", "x", 6, 1),
+                        ("1", "t1", 2, 1))),
+    ("nested.tower", (("1", "t2", -2, 1), ("t1", "t2", -1, 1),
+                      ("1", "t2", 0, 1), ("x/(t1+1)", "t2", 1, 1),
+                      ("-1", "t2", 3, 1))),
+    ("nested.tower", (("1", "t2", -1, 1), ("x", "t2 + 1/x", 2, 1),
+                      ("t1", "t2 + 1/x", -2, 1), ("1", "t2", 3, 2),
+                      ("2", "t2 + 1/x", 0, 1))),
+    ("nested.tower", (("1", "t1^2 + x", -2, 1), ("x", "t1^2 + x", -1, 1),
+                      ("1", "t1^2 + x", 0, 1), ("2/(x+3)", "t1^2 + x", 2, 1),
+                      ("1", "t1^2 + x", 3, 1), ("x", "t1", 1, 2))),
+)
+
+
+def multi_value(tower, pieces):
+    f = 0
+    for num, rep, shift, mult in pieces:
+        f = f + parse(tower, num) / tower.sigma(parse(tower, rep),
+                                                shift) ** mult
+    return f
+
+
+def _multi_cases():
+    for i, (name, pieces) in enumerate(MULTI_CASES):
+        tower = load_tower_file(ROOT / "towers" / name)
+        yield (f"multi {name} {i}",
+               _printed(ReductionContext(tower), multi_value(tower, pieces)))
+
+
 def compute():
     """Every case as {"id", "g", "r", "notes"}, in a fixed order."""
     out = []
-    for cases in (_shift_cases, _nested_cases, _random_cases, _poly_cases):
+    for cases in (_shift_cases, _nested_cases, _random_cases, _poly_cases,
+                  _multi_cases):
         for case_id, printed in cases():
             out.append({"id": case_id, **printed})
     return out

@@ -103,6 +103,20 @@ def test_false_far_candidate_is_rejected_without_the_shift_sum():
     assert ctx.reps[2] == [T1, q]
 
 
+def test_false_candidate_at_level_three_is_rejected_in_time():
+    # q = t2 + S_40 + delta(t1/(x+3)) proposes k = 40 and fails the
+    # difference test; reducing its c one level down meets about 40 pieces
+    # over shifts of x, whose orbit sums take one walk, not one sum each
+    tower = load_tower_file(TOWERS / "nested.tower")
+    c = (tower.sigma_sum(tower.gens[2].delta, 40)
+         + tower.delta(lower(parse(tower, "t1/(x+3)"), 2)))
+    ctx = ReductionContext(tower)
+    started = time.process_time()
+    assert shift_equivalence(ctx, Poly((zero_at(2), one_at(2))),
+                             Poly((c, one_at(2))), 3) is None
+    assert time.process_time() - started < 1.0
+
+
 @pytest.mark.parametrize("k", [1, -1])
 def test_unit_shift_is_confirmed_without_the_difference_test(monkeypatch, k):
     # S_k is one term at |k| = 1, so the candidate goes straight to sigma^k

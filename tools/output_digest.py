@@ -24,6 +24,12 @@ prints one SHA-256 over what they print:
    representative. A context that took a class it should have noted from
    another context prints the same g and r, but not the same notes.
 
+One more line, `proper <digest>`, covers proper parts the workloads do not
+reach: g, r and notes of the multi-piece cases of
+tests/test_reduction_goldens.py (read from this script's checkout) and of
+sigma^k(1/t1) - 1/t1 on harmonic.tower for 1 <= |k| <= 12, each in a
+fresh context.
+
 A typed failure is printed as its class name. Two checkouts give equal
 digests when their operations print the same results. To compare a change
 with its parent, unpack the parent into a directory of its own and point
@@ -112,6 +118,26 @@ def digest(workloads, root, name, seed):
     return sha.hexdigest()
 
 
+def proper_digest(root):
+    """SHA-256 over g, r and the notes of the fixed proper-part cases."""
+    from sumred.exprio import format_value
+    from sumred.reduction import ReductionContext, complete_reduction
+    from sumred.towerfile import load_tower_file
+    from test_reduction_goldens import MULTI_CASES, multi_value
+
+    # sigma^k(1/t1) - 1/t1 as two pieces
+    shifts = [("harmonic.tower", (("1", "t1", k, 1), ("-1", "t1", 0, 1)))
+              for j in range(1, 13) for k in (j, -j)]
+    sha = hashlib.sha256()
+    for name, pieces in list(MULTI_CASES) + shifts:
+        tower = load_tower_file(root / "towers" / name)
+        ctx = ReductionContext(tower)
+        g, r = complete_reduction(ctx, multi_value(tower, pieces))
+        sha.update(json.dumps([format_value(tower, g), format_value(tower, r),
+                               _notes(ctx)]).encode() + b"\n")
+    return sha.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve()
@@ -128,12 +154,14 @@ def main(argv=None):
     root = Path(args.root).resolve()
     sys.dont_write_bytecode = True  # leave the checkout as it is
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
     import workloads
 
     for name in names:
         for seed in args.seeds.split(","):
             print(name, seed, digest(workloads, root, name, int(seed)),
                   flush=True)
+    print("proper", proper_digest(root), flush=True)
     return 0
 
 
