@@ -81,11 +81,15 @@ the same in every form. A Poly built from Fractions is cleared once
 (_to_zpoly), which already gives the normalised form; one built from depth-1
 values is summed term by term (_to_xpoly).
 
-RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) it forms
-n1 * (d2/g) + n2 * (d1/g) over d1 * (d2/g), and only gcd(num, g) can cancel,
-nothing at all when g = 1, so the full product d1 * d2 is never reduced.
-Terms with pairwise coprime denominators, as in a proper part's orbit walk,
-go through coprime_sum (the inverse of coprime_split), which takes no gcd.
+RatFunc addition is gcd-first (Henrici): with g = gcd(d1, d2) only
+gcd(num, g) can cancel, nothing when g = 1. Terms with pairwise coprime
+denominators, as in a proper part's orbit walk, go through coprime_sum,
+which takes no gcd. Its inverse, the partial-fraction split coprime_split
+(von zur Gathen and Gerhard, Modern Computer Algebra, 5.10), needs for
+each modulus q only the inverse modulo q of the product r of the later
+moduli. The module's one Euclid, _cofactor_euclid, gives it from
+(r mod q, q), tracking that cofactor alone (one inversion when q is
+linear); poly_xgcd adds t by one exact division. % normalises no quotient.
 
 Products and inverses take no final gcd (Henrici; Knuth, TAOCP vol. 2
 section 4.5.1). A product cancels n1 against d2 and n2 against d1; each
@@ -408,7 +412,16 @@ class Poly:
         return Poly(q), Poly(a[:db])
 
     def __mod__(self, other):
-        return self.divmod(other)[1]
+        """The remainder of divmod. The integer forms normalise only it."""
+        b, d = other._c, other._d
+        if not b or len(self._c) < len(b) or d is None:
+            return self.divmod(other)[1]
+        if d.__class__ is int:
+            _q, r, s = _zpoly_pdivmod(self._c, b)
+            return _zpoly(r, s * self._d)
+        _q, r, s = _xpdivmod(self._c, b)
+        s = _zmul(s, self._d)
+        return _xpoly(r, s, s)
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -1049,24 +1062,29 @@ def _zeval(x, xi):
     return v
 
 
-def poly_xgcd(a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    one = _one_poly(_coeff_depth(a if a._c else b))
-    r0, r1 = a, b
-    s0, s1 = one, _P_ZERO
-    t0, t1 = _P_ZERO, one
-    while not r1.is_zero():
+def _cofactor_euclid(a, b):
+    """(g, s) with g the monic gcd of a and b (zero if both are) and
+    s * a = g modulo b, by Euclid's loop on (b, a) tracking the cofactor of
+    a only. A remainder of degree 0 ends it: a constant a is one inversion."""
+    r0, r1 = b, a
+    s0, s1 = _P_ZERO, _one_poly(_coeff_depth(a if a._c else b))
+    while r1.degree() > 0:
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc, g = r0.monic()
-    if _is_one_val(lc):
-        return g, s0, t0
-    inv = _inv_val(lc)
-    return g, s0.scale(inv), t0.scale(inv)
+    if r1.is_zero():
+        r1, s1 = r0, s0
+        if r1.is_zero():
+            return r1, s1
+    lc, g = r1.monic()
+    return g, s1.scale(_inv_val(lc))
+
+
+def poly_xgcd(a, b):
+    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic (or
+    zero); s from _cofactor_euclid, t = (g - s*a) / b by exact division."""
+    g, s = _cofactor_euclid(a, b)
+    return g, s, (g - s * a).exact_div(b) if b._c else _P_ZERO
 
 
 def _qpoly_gcd(a, b):
@@ -1466,6 +1484,8 @@ def coprime_split(num, moduli):
 
     num / (m_0 * m_1 * ... * m_{s-1}) = sum A_k / m_k with deg A_k < deg m_k.
     Requires deg num < sum deg m_k. Returns the list [A_0, ..., A_{s-1}].
+    A_k is (rest mod m_k) * s mod m_k for s the inverse modulo m_k of the
+    later moduli's product; ValueError if two moduli share a factor.
     """
     mods = list(moduli)
     if sum(q.degree() for q in mods) <= num.degree():
@@ -1477,11 +1497,11 @@ def coprime_split(num, moduli):
         r = mods[idx + 1]
         for extra in mods[idx + 2:]:
             r = r * extra
-        g, s, _t = poly_xgcd(r, q)
-        if not (g.degree() == 0 and not g.is_zero()):
+        g, s = _cofactor_euclid(r % q, q)
+        if g.degree() != 0:
             raise ValueError("moduli are not pairwise coprime")
         # s*r = 1 mod q, so the q-part of rest/(q*r) is (rest*s mod q)/q
-        a = (rest * s) % q
+        a = (rest % q * s) % q
         out.append(a)
         rest = (rest - a * r).exact_div(q)
     out.append(rest)
@@ -1500,10 +1520,7 @@ def coprime_sum(terms, depth):
 
 def modular_residue(num, cofactor, modulus):
     """(num * cofactor^{-1}) mod modulus, for cofactor coprime to modulus."""
-    if cofactor.is_one():
-        return num % modulus
-    red = cofactor % modulus if cofactor.degree() >= modulus.degree() else cofactor
-    g, s, _t = poly_xgcd(red, modulus)
+    g, s = _cofactor_euclid(cofactor % modulus, modulus)
     if g.degree() != 0:
         raise ValueError("cofactor shares a factor with the modulus")
     return (num * s) % modulus

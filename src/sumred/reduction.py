@@ -204,7 +204,8 @@ def reduce_proper(ctx, f):
     Up: Y_0 sums the e's with s > 0, and Y_j = sigma(Y_(j-1)) - p at s = j
     is the sum of sigma^j(e) over s > j. Down: W_1 = sigma^(-1)(-e's with
     s < 0), W_(j+1) = sigma^(-1)(W_j + p at s = -j). Each term lies over a
-    power of its own sigma^j(rep), and coprime_sum adds them.
+    power of its own sigma^j(rep), and coprime_sum adds them. r gets each
+    e once, as a class's e at s = 0 plus the two sums that start its walks.
     """
     depth = f.depth
     zero = zero_at(depth)
@@ -223,16 +224,18 @@ def reduce_proper(ctx, f):
             (shift, e, RatFunc(num, irr ** mult, depth, _trusted=True)))
     g, r = [], []
     for walk in walks.values():
-        r.append(sum((e for _s, e, _p in walk), zero))
+        r_class = next((e for s, e, _p in walk if s == 0), zero)
         for step in (1, -1):
             arrive = {s * step: p for s, _e, p in walk if s * step > 0}
             y = sum((e for s, e, _p in walk if s * step > 0), zero)
+            r_class = r_class + y
             y = tower.sigma(-y, -1) if step < 0 and arrive else y
             for j in range(1, max(arrive, default=1)):
                 g.append(y)
                 y = (tower.sigma(y, 1) - arrive.get(j, zero) if step > 0
                      else tower.sigma(y + arrive.get(j, zero), -1))
             g.append(y)
+        r.append(r_class)
     return coprime_sum(g, depth), coprime_sum(r, depth)
 
 

@@ -18,7 +18,8 @@ from sumred.algebra import (Poly, RatFunc, _zexquo, _zmul, _zpoly_gcd,
 from sumred.errors import IntegerLimitError
 from sumred.sigmafactor import factor_monic
 
-from conftest import H_TOWER, N_TOWER, P_TOWER, parse, rand_proper1
+from conftest import (H_TOWER, N_TOWER, P_TOWER, Q_TOWER, parse,
+                      rand_proper1)
 
 
 def _poly_to_sympy(p, depth, syms):
@@ -409,13 +410,62 @@ def test_z_gcd_takes_out_the_power_of_x_without_pseudo_division(
         assert _zpoly_gcd(a, b) == g and _zpoly_gcd(b, a) == g
 
 
+# field name -> (tower, top variable t, pool of coefficient texts from the
+# field below): coefficient depth 0, 1 and 2, and two fields over Q(n)
+_FIELDS = {
+    "Q[x]": (Q_TOWER, "x", ("1", "-2", "1/3", "5/2")),
+    "Q(x)[t1]": (H_TOWER, "t1", ("1", "x", "1/x", "x+2", "(x-1)/(x+3)")),
+    "Q(x)(t1)[t2]": (N_TOWER, "t2", ("1", "x", "t1", "1/(t1+x)", "t1^2/x")),
+    "Q(n)[x]": (P_TOWER, "x", ("1", "n", "1/n", "n+2", "(n-1)/(n+3)")),
+    "Q(n)(x)[t1]": (P_TOWER, "t1", ("1", "n", "x", "1/(x+n)", "n/(x^2-n)")),
+}
+
+
+def _field_poly(field, text):
+    """The polynomial in the field's top variable that text parses to."""
+    tower, top, _pool = _FIELDS[field]
+    return lower(parse(tower, text), tower.depth_of_name(top)).num
+
+
+def _rand_field_poly(rng, field, deg):
+    """Degree <= deg, about a fifth of the coefficients zero."""
+    _tower, top, pool = _FIELDS[field]
+    terms = [f"({rng.choice(pool)})*({rng.randint(-3, 3)})*{top}^{e}"
+             for e in range(deg + 1) if rng.random() < 0.8]
+    return _field_poly(field, " + ".join(terms) or "0")
+
+
 def test_poly_xgcd_bezout():
+    # in every field of _FIELDS, pairs with a common factor on most draws,
+    # both ways round and against the zero polynomial
     rng = random.Random(104)
-    for _ in range(60):
-        a = nonzero_poly(rng, rng.randint(0, 5))
-        b = nonzero_poly(rng, rng.randint(0, 5))
-        g, s, t = poly_xgcd(a, b)
-        assert s * a + t * b == g
+    for field in _FIELDS:
+        zero = _field_poly(field, "0")
+        for _ in range(20):
+            s = _rand_field_poly(rng, field, rng.randint(0, 1))
+            a = _rand_field_poly(rng, field, rng.randint(0, 3)) * s
+            b = _rand_field_poly(rng, field, rng.randint(0, 3)) * s
+            pairs = [(a, b), (b, a)]
+            if not a.is_zero():
+                pairs += [(a, zero), (zero, a)]
+            for u, v in pairs:
+                g, x, y = poly_xgcd(u, v)
+                assert x * u + y * v == g
+                assert g == poly_gcd(u, v)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELDS)
+def test_remainder_is_the_remainder_of_divmod(field):
+    rng = random.Random(119)
+    for _ in range(25):
+        b = _rand_field_poly(rng, field, rng.randint(0, 3))
+        if b.is_zero():
+            continue
+        a = _rand_field_poly(rng, field, rng.randint(0, 5))
+        # deg a < deg b on some draws, an exact quotient, and one with a
+        # remainder of lower degree than both
+        for p in (a, a * b, a * b + a % b):
+            assert p % b == p.divmod(b)[1]
 
 
 def test_poly_eval_is_a_homomorphism():
@@ -644,6 +694,67 @@ def test_coprime_split_rejects_improper():
     m = Poly((Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         coprime_split(Poly((Fraction(1), Fraction(1))), [m])
+
+
+def _xgcd_split(num, moduli):
+    """coprime_split by a full extended Euclid of the product of the later
+    moduli against each modulus, for reference."""
+    one = Poly((one_at(vdepth(num.lc())),))
+    out, rest = [], num
+    for idx, q in enumerate(moduli[:-1]):
+        r = moduli[idx + 1]
+        for extra in moduli[idx + 2:]:
+            r = r * extra
+        r0, r1, s0, s1, t0, t1 = r, q, one, Poly(()), Poly(()), one
+        while not r1.is_zero():
+            quo, rem = r0.divmod(r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, s0 - quo * s1
+            t0, t1 = t1, t0 - quo * t1
+        assert r0.degree() == 0 and s0 * r + t0 * q == r0
+        a = (rest * s0.scale(1 / r0.lc())) % q
+        out.append(a)
+        rest = (rest - a * r).exact_div(q)
+    return out + [rest]
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELDS)
+def test_coprime_split_matches_the_extended_gcd_split(field):
+    _tower, top, pool = _FIELDS[field]
+    rng = random.Random(1211)
+    for _ in range(8):
+        # 2 to 4 pairwise coprime monic linear and quadratic factors, each
+        # to a power 1 to 3, of total degree at most 6 to bound the run
+        factors, mods = [], []
+        count = rng.randint(2, 4)
+        while len(mods) < count:
+            c = [rng.choice(pool) for _ in range(2)]
+            text = (f"{top} + ({c[0]})*{rng.randint(-3, 3)}"
+                    if rng.random() < 0.5 else
+                    f"{top}^2 + ({c[0]})*{top} + ({c[1]})*{rng.randint(1, 3)}")
+            f = _field_poly(field, text)
+            m = f ** rng.randint(1, 3)
+            if (all(poly_gcd(f, h).degree() == 0 for h in factors)
+                    and sum(x.degree() for x in mods) + m.degree()
+                    <= 6 - (count - len(mods) - 1)):
+                factors.append(f)
+                mods.append(m)
+        num = _rand_field_poly(rng, field, sum(m.degree() for m in mods) - 1)
+        if num.is_zero():
+            num = _field_poly(field, "1")
+        parts = coprime_split(num, mods)
+        assert parts == _xgcd_split(num, mods)
+        assert all(a.degree() < m.degree() for a, m in zip(parts, mods))
+
+
+@pytest.mark.parametrize("field", ["Q[x]", "Q(x)[t1]"])
+def test_coprime_split_rejects_moduli_with_a_common_factor(field):
+    _tower, top, _pool = _FIELDS[field]
+    shared = [_field_poly(field, f"{top} + 1"),
+              _field_poly(field, f"({top} + 1)*({top} + 2)")]
+    for mods in (shared, shared[::-1], shared + [_field_poly(field, top)]):
+        with pytest.raises(ValueError, match="not pairwise coprime"):
+            coprime_split(_field_poly(field, "1"), mods)
 
 
 def test_modular_residue():

@@ -90,14 +90,13 @@ _CHAIN_POOLS = {
 }
 
 
-@pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, P_TOWER],
-                         ids=["H", "N", "P"])
-def test_proper_part_matches_the_stepping_chain(tower):
-    # four to six pieces over sigma^s(rep)^m per value, all in one context:
-    # one class at shifts of both signs, pieces whose e's cancel in r, and
-    # random pieces over two classes
+def chain_values(tower, ctx):
+    """(depth, f) for the values of the stepping-chain test, level by level
+    from seed 1818, with each level's representatives classified in ctx
+    first: four to six pieces over sigma^s(rep)^m per value, as one class
+    at shifts of both signs, pieces whose e's cancel in r, and random
+    pieces over two classes. tools/output_digest.py digests them too."""
     rng = random.Random(1818)
-    ctx = ReductionContext(tower)
     for level in range(1, tower.nlevels + 1):
         depth = tower.depth_of_level(level)
         rep_texts, coeff_texts = _CHAIN_POOLS[level]
@@ -113,17 +112,24 @@ def test_proper_part_matches_the_stepping_chain(tower):
 
         one_class = sum((piece(reps[0], s, 1) for s in (-3, -1, 0, 2, 5)),
                         zero_at(depth))
+        yield depth, one_class
         e = piece(reps[0], 0, 2)
-        cancel = (tower.sigma(e, -2) - tower.sigma(e, 3)
-                  + piece(reps[0], 1, 1) + piece(reps[1], -1, 1))
-        mixed = sum((piece(rng.choice(reps), rng.randint(-4, 4), 1)
-                     for _ in range(rng.randint(4, 6))), zero_at(depth))
-        for f in (one_class, cancel, mixed):
-            g, r = reduce_proper(ctx, f)
-            assert (g, r) == _chain_reduce_proper(ctx, f, depth)
-            # the gcd-free sums are in canonical form
-            for v in (g, r):
-                assert v == RatFunc(v.num, v.den, depth)
+        yield depth, (tower.sigma(e, -2) - tower.sigma(e, 3)
+                      + piece(reps[0], 1, 1) + piece(reps[1], -1, 1))
+        yield depth, sum((piece(rng.choice(reps), rng.randint(-4, 4), 1)
+                          for _ in range(rng.randint(4, 6))), zero_at(depth))
+
+
+@pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, P_TOWER],
+                         ids=["H", "N", "P"])
+def test_proper_part_matches_the_stepping_chain(tower):
+    ctx = ReductionContext(tower)
+    for depth, f in chain_values(tower, ctx):
+        g, r = reduce_proper(ctx, f)
+        assert (g, r) == _chain_reduce_proper(ctx, f, depth)
+        # the gcd-free sums are in canonical form
+        for v in (g, r):
+            assert v == RatFunc(v.num, v.den, depth)
 
 
 def test_sigma_sum_is_the_orbit_sum():

@@ -26,9 +26,11 @@ prints one SHA-256 over what they print:
 
 One more line, `proper <digest>`, covers proper parts the workloads do not
 reach: g, r and notes of the multi-piece cases of
-tests/test_reduction_goldens.py (read from this script's checkout) and of
-sigma^k(1/t1) - 1/t1 on harmonic.tower for 1 <= |k| <= 12, each in a
-fresh context.
+tests/test_reduction_goldens.py and of sigma^k(1/t1) - 1/t1 on
+harmonic.tower for 1 <= |k| <= 12, each in a fresh context, and of the
+values of test_proper_part_matches_the_stepping_chain (4 to 6 pieces over
+two classes per level, seed 1818), one context per tower as in the test.
+The test files are read from this script's checkout.
 
 A typed failure is printed as its class name. Two checkouts give equal
 digests when their operations print the same results. To compare a change
@@ -121,8 +123,11 @@ def digest(workloads, root, name, seed):
 def proper_digest(root):
     """SHA-256 over g, r and the notes of the fixed proper-part cases."""
     from sumred.exprio import format_value
-    from sumred.reduction import ReductionContext, complete_reduction
+    from sumred.reduction import (ReductionContext, complete_reduction,
+                                  reduce_proper)
     from sumred.towerfile import load_tower_file
+    from conftest import H_TOWER, N_TOWER, P_TOWER
+    from test_reduction import chain_values
     from test_reduction_goldens import MULTI_CASES, multi_value
 
     # sigma^k(1/t1) - 1/t1 as two pieces
@@ -135,6 +140,13 @@ def proper_digest(root):
         g, r = complete_reduction(ctx, multi_value(tower, pieces))
         sha.update(json.dumps([format_value(tower, g), format_value(tower, r),
                                _notes(ctx)]).encode() + b"\n")
+    for tower in (H_TOWER, N_TOWER, P_TOWER):
+        ctx = ReductionContext(tower)
+        for _depth, f in chain_values(tower, ctx):
+            g, r = reduce_proper(ctx, f)
+            sha.update(json.dumps([format_value(tower, g),
+                                   format_value(tower, r), _notes(ctx)])
+                       .encode() + b"\n")
     return sha.hexdigest()
 
 
