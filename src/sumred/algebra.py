@@ -1485,18 +1485,18 @@ def coprime_split(num, moduli):
     num / (m_0 * m_1 * ... * m_{s-1}) = sum A_k / m_k with deg A_k < deg m_k.
     Requires deg num < sum deg m_k. Returns the list [A_0, ..., A_{s-1}].
     A_k is (rest mod m_k) * s mod m_k for s the inverse modulo m_k of the
-    later moduli's product; ValueError if two moduli share a factor.
+    later moduli's product, formed once for all k from the right;
+    ValueError if two moduli share a factor.
     """
     mods = list(moduli)
     if sum(q.degree() for q in mods) <= num.degree():
         raise ValueError("input fraction was not proper")
+    later = mods[-1:]
+    for q in mods[-2:0:-1]:
+        later.append(q * later[-1])
     out = []
     rest = num
-    for idx in range(len(mods) - 1):
-        q = mods[idx]
-        r = mods[idx + 1]
-        for extra in mods[idx + 2:]:
-            r = r * extra
+    for q, r in zip(mods[:-1], reversed(later)):
         g, s = _cofactor_euclid(r % q, q)
         if g.degree() != 0:
             raise ValueError("moduli are not pairwise coprime")

@@ -17,19 +17,20 @@ polynomial alone (the level-1 representatives a context hands factor_monic
 change its cost, never its list), so they are kept once per tower. The
 class of each irreducible (irr -> (rep, shift)) and each level's data (the
 increment's reduction pair, the pivot coordinate of its residue and the
-level's difference pairs) are written to the tower's tables while the
-context that computes them has no notes, and to the context's own tables
-once it has one; every context reads its own tables, then the tower's.
-That is exact: a note is written exactly when a representative is added,
-so a context without notes holds the seed lists; every context's lists
-start with those seeds in the same order, and a class keeps its first
-representative. A computation that ends without a note has therefore met
-seeded classes only, and any context makes it the same way. One that adds
-a note (an increment such as 1/(x^2+1), or a tower without seeds) depends
-on the context's own choice, and stays with it. The well-generated rebuild
-(tower', iso) of telescope.well_generate reads every representative, so it
-is shared among contexts without notes only; sharing the object also
-shares the rebuilt tower's own caches across calls.
+level's difference pairs) go to the tower's tables when their computation
+handed out seeded classes only and added no note, else to the context's
+own; every context reads its own tables, then the tower's. A counter per
+context moves on each class with a representative not a seed and on each
+read of, or write to, its own tables. That is exact: every context's lists
+start with the same seeds in the same order, and classes are disjoint
+(Karr 1981), so an irreducible of a seeded class gets the same (seed,
+shift) in every context. A computation that met only such classes and
+noted nothing runs the same way in any context and leaves the same notes;
+one that met a class of the context's own choosing (an increment such as
+1/(x^2+1), or a tower without seeds) stays with it. A context without
+notes has seeded classes only, so it shares all it computes. The rebuild
+(tower', iso) of telescope.well_generate reads every representative, so
+it is shared among contexts without notes only, with its own caches.
 
 The split into a polynomial part and a proper part is preserved by the
 shift, so the two reduce independently:
@@ -73,9 +74,10 @@ from .sigmafactor import factor_monic, shift_equivalence
 class _PerTower:
     """What every context on one tower shares (see the module docstring):
     factors caches factor_monic by polynomial; classes (irr -> (rep,
-    shift)) and levels (level -> level data) hold what contexts without
-    notes computed; rebuilt is the (tower', iso) of telescope.well_generate
-    for contexts without notes."""
+    shift)) and levels (level -> level data) hold what the seeds alone
+    decide, computed by any context without meeting a class of its own
+    choosing; rebuilt is the (tower', iso) of telescope.well_generate for
+    contexts without notes."""
 
     __slots__ = ("factors", "classes", "levels", "rebuilt")
 
@@ -89,9 +91,10 @@ class _PerTower:
 class ReductionContext:
     """Session state for reductions over one tower.
 
-    Per context: reps, notes (level, irr), one per new representative, and
-    the classes and level data computed after the first note. Everything
-    else is read from, and written to, the tower's _PerTower.
+    Per context: reps, notes (level, irr), one per new representative, the
+    classes and level data whose computation met a class of the context's
+    own choosing, and _unseeded, the counter that tells. Everything else is
+    read from, and written to, the tower's _PerTower.
     """
 
     def __init__(self, tower):
@@ -104,6 +107,7 @@ class ReductionContext:
         self._per_tower = tower._reduction
         self._classes = {}
         self._levels = {}
+        self._unseeded = 0
 
     # -- shift-class bookkeeping -------------------------------------------
 
@@ -133,11 +137,12 @@ class ReductionContext:
                      for irr, mult in self.factor(den))
 
     def _class_of(self, irr, depth):
-        hit = self._classes.get(irr) or self._per_tower.classes.get(irr)
+        hit = self._own(self._classes, irr, self._per_tower.classes)
         if hit is not None:
             return hit
         level = depth - self.tower.nparams
         reps = self.reps[level]
+        before = self._unseeded
         for rep in reps:
             shift = shift_equivalence(self, rep, irr, depth)
             if shift is not None:
@@ -147,9 +152,26 @@ class ReductionContext:
             reps.append(irr)
             self.notes.append((level, irr))
             hit = (irr, 0)
-        # the tower's table while the context has no notes, its own after
-        (self._classes if self.notes else self._per_tower.classes)[irr] = hit
+        self._store(self._classes, irr, self._per_tower.classes, hit,
+                    before == self._unseeded
+                    and hit[0] in self.tower.gens[level - 1].seed_reps)
         return hit
+
+    def _own(self, own, key, shared):
+        """own[key], which moves _unseeded, else shared.get(key)."""
+        hit = own.get(key)
+        if hit is None:
+            return shared.get(key)
+        self._unseeded += 1
+        return hit
+
+    def _store(self, own, key, shared, hit, share):
+        """Store hit in shared if share, else in own, which moves _unseeded."""
+        if share:
+            shared[key] = hit
+        else:
+            own[key] = hit
+            self._unseeded += 1
 
     # -- per-level reduction data -------------------------------------------
 
@@ -160,8 +182,9 @@ class ReductionContext:
 
         Raises InvalidTowerError when v is zero: the level is redundant.
         """
-        hit = self._levels.get(level) or self._per_tower.levels.get(level)
+        hit = self._own(self._levels, level, self._per_tower.levels)
         if hit is None:
+            before = self._unseeded
             gen = self.tower.gens[level - 1]
             g, v = complete_reduction(self, gen.delta)
             if _is_zero_val(v):
@@ -169,8 +192,8 @@ class ReductionContext:
                     f"increment of {gen.name!r} is a difference of "
                     f"elements below it; the tower level is redundant")
             hit = (g, v, *leading_coordinate(self, v), [])
-            (self._levels if self.notes
-             else self._per_tower.levels)[level] = hit
+            self._store(self._levels, level, self._per_tower.levels, hit,
+                        before == self._unseeded)
         return hit
 
     def echelon_entry(self, level, i):

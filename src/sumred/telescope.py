@@ -185,7 +185,8 @@ def nesting_depth(tower, v):
 
 
 def _levels_used(tower, v):
-    """Set of levels whose generator actually appears in v."""
+    """Set of levels whose generator actually appears in v; N_j / D over
+    Q(x) (see algebra) is free of x iff N_j is a rational multiple of D."""
     npar = tower.nparams
     out = set()
 
@@ -198,8 +199,14 @@ def _levels_used(tower, v):
     def wpoly(p, depth):
         if p.degree() > 0:
             out.add(depth - npar)
-        for c in p.coeffs:
-            walk(c, depth - 1)
+        c, d = p.as_integers()
+        if d is None:
+            for u in c:
+                walk(u, depth - 1)
+        elif depth - 1 > npar and any(
+                n and [a * d[-1] for a in n] != [b * n[-1] for b in d]
+                for n in c):
+            out.add(1)
 
     walk(v, vdepth(v))
     return out

@@ -95,7 +95,8 @@ def chain_values(tower, ctx):
     from seed 1818, with each level's representatives classified in ctx
     first: four to six pieces over sigma^s(rep)^m per value, as one class
     at shifts of both signs, pieces whose e's cancel in r, and random
-    pieces over two classes. tools/output_digest.py digests them too."""
+    pieces over two classes, drawn without replacement so that no two
+    merge. tools/output_digest.py digests them too."""
     rng = random.Random(1818)
     for level in range(1, tower.nlevels + 1):
         depth = tower.depth_of_level(level)
@@ -116,8 +117,10 @@ def chain_values(tower, ctx):
         e = piece(reps[0], 0, 2)
         yield depth, (tower.sigma(e, -2) - tower.sigma(e, 3)
                       + piece(reps[0], 1, 1) + piece(reps[1], -1, 1))
-        yield depth, sum((piece(rng.choice(reps), rng.randint(-4, 4), 1)
-                          for _ in range(rng.randint(4, 6))), zero_at(depth))
+        classes = [(rep, s) for rep in reps for s in range(-4, 5)]
+        yield depth, sum((piece(rep, s, 1) for rep, s
+                          in rng.sample(classes, rng.randint(4, 6))),
+                         zero_at(depth))
 
 
 @pytest.mark.parametrize("tower", [H_TOWER, N_TOWER, P_TOWER],
@@ -125,6 +128,7 @@ def chain_values(tower, ctx):
 def test_proper_part_matches_the_stepping_chain(tower):
     ctx = ReductionContext(tower)
     for depth, f in chain_values(tower, ctx):
+        assert 4 <= len(ctx.classify_den(f.den, depth)) <= 6
         g, r = reduce_proper(ctx, f)
         assert (g, r) == _chain_reduce_proper(ctx, f, depth)
         # the gcd-free sums are in canonical form
@@ -602,26 +606,43 @@ def _replayed(source, history):
     return out
 
 
-@pytest.mark.parametrize("source", [NESTED, UNSEEDED_NESTED, SEEDED_QUAD],
-                         ids=["nested", "unseeded", "seeded-quadratic"])
-def test_contexts_answer_as_a_replay_of_their_own_history(source):
+@pytest.mark.parametrize("source,lead", [
+    (NESTED, ()), (UNSEEDED_NESTED, ()), (SEEDED_QUAD, ()),
+    (NESTED, (("1/(x^2+3)", 1),)),
+    (UNSEEDED_NESTED, (("1/(x^2+3)", 1), ("1/(t1+5)", 2))),
+    (SEEDED_QUAD, (("1/(t1^2+3)", 2),))],
+    ids=["nested", "unseeded", "seeded-quadratic", "nested-noted",
+         "unseeded-noted", "seeded-quadratic-noted"])
+def test_contexts_answer_as_a_replay_of_their_own_history(source, lead):
     # fresh contexts and one long-lived context, interleaved on one tower,
-    # give what each would give alone on a tower of its own
+    # give what each would give alone on a tower of its own; with a lead,
+    # every context first reduces its proper fractions, each at its own
+    # depth, which adds notes before any level data is computed
     tower = _tower_of(source)
     rng = random.Random(2500)
-    kept = ReductionContext(tower)
-    kept_history, kept_seen = [], []
+    leads = [lower(parse(tower, text), depth) for text, depth in lead]
+
+    def fresh():
+        ctx = ReductionContext(tower)
+        for f in leads:
+            complete_reduction(ctx, f)
+        return ctx
+
+    kept = fresh()
+    assert bool(kept.notes) == bool(leads)
+    assert not kept._levels and not tower._reduction.levels
+    kept_history, kept_seen = list(leads), []
     for _ in range(14):
         f = _sharing_input(tower, rng)
-        ctx = kept if rng.random() < 0.5 else ReductionContext(tower)
+        ctx = kept if rng.random() < 0.5 else fresh()
         g, r = complete_reduction(ctx, f)
         seen = (g, r, list(ctx.notes))
         if ctx is kept:
             kept_history.append(f)
             kept_seen.append(seen)
         else:
-            assert [seen] == _replayed(source, [f])
-    assert kept_seen == _replayed(source, kept_history)
+            assert [seen] == _replayed(source, leads + [f])[len(leads):]
+    assert kept_seen == _replayed(source, kept_history)[len(leads):]
 
 
 @pytest.mark.parametrize("text,dens,depth", [
@@ -666,6 +687,50 @@ def test_a_class_that_added_a_note_stays_with_its_context():
     b = ReductionContext(tower)
     assert complete_reduction(b, f) == pair
     assert b.notes == [(1, quad)]
+
+
+def test_a_context_with_notes_reads_the_seeded_level_data(monkeypatch):
+    # each context notes x^2 + 1 before it needs level data; the second
+    # then reads the level data and the seeded classes the first computed
+    tower = load_tower_file(NESTED)
+    f = parse(tower, "t2*t1/(x^2+1) + t2/(x+4)")
+    first = ReductionContext(tower)
+    pair = complete_reduction(first, f)
+    assert first.notes == [(1, lower(parse(tower, "x^2+1"), 1).num)]
+    calls = {"increment": 0, "shift_equivalence": 0}
+    reduce, shift = reduction.complete_reduction, reduction.shift_equivalence
+
+    def reducing(ctx, v):
+        calls["increment"] += any(v is gen.delta for gen in tower.gens)
+        return reduce(ctx, v)
+
+    def shifting(*args):
+        calls["shift_equivalence"] += 1
+        return shift(*args)
+
+    monkeypatch.setattr(reduction, "complete_reduction", reducing)
+    monkeypatch.setattr(reduction, "shift_equivalence", shifting)
+    second = ReductionContext(tower)
+    assert complete_reduction(second, f) == pair
+    assert second.notes == first.notes
+    # the one test left is x against x^2 + 1, before the note
+    assert calls == {"increment": 0, "shift_equivalence": 1}
+
+
+def test_level_data_that_adds_a_note_stays_with_its_context():
+    # the increment 1/(x^2+1) meets a class no seed names
+    text = "gen x : 1\nseed x : x\ngen t1 : 1/(x^2+1)\n"
+    tower = parse_tower_text(text)
+    quad = lower(parse(tower, "x^2+1"), 1).num
+    first = ReductionContext(tower)
+    complete_reduction(first, parse(tower, "t1^2"))
+    assert first.notes == [(1, quad)]
+    assert 2 in first._levels and 2 not in tower._reduction.levels
+    f = parse(tower, "t1^2 + 1/(x^2+2*x+2)")
+    second = ReductionContext(tower)
+    g, r = complete_reduction(second, f)
+    assert second.notes == [(1, quad)]
+    assert [(g, r, second.notes)] == _replayed(text, [f])
 
 
 # ---------------------------------------------------------------------------

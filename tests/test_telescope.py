@@ -13,9 +13,9 @@ from sumred.algebra import Poly, lift, vdepth, zero_at
 from sumred.errors import InvalidTowerError
 from sumred.exprio import format_poly, format_value
 from sumred.reduction import ReductionContext, complete_reduction
-from sumred.telescope import (depth_reduce, nesting_depth, nullspace_basis,
-                              parameterized_telescope, sigma_check, telescope,
-                              well_generate)
+from sumred.telescope import (_levels_used, depth_reduce, nesting_depth,
+                              nullspace_basis, parameterized_telescope,
+                              sigma_check, telescope, well_generate)
 from sumred.towerfile import load_tower_file, parse_tower_text
 
 NESTED = Path(__file__).resolve().parent.parent / "towers" / "nested.tower"
@@ -353,6 +353,58 @@ def test_nesting_depth_metric():
     assert nesting_depth(N_TOWER, parse(N_TOWER, "x + t1")) == 2
     assert nesting_depth(N_TOWER, N_TOWER.lift_to_top(Fraction(3))) == 0
     assert nesting_depth(B_TOWER, parse(B_TOWER, "t2")) == 2
+
+
+# a parameter tower two levels above x, so that Q(n)(x) coefficients sit
+# below generators too
+P2_TOWER = parse_tower_text("params n\n"
+                            "gen x : 1\n"
+                            "seed x : x\n"
+                            "gen t1 : 1/(x+n)\n"
+                            "gen t2 : t1/(x+1)\n")
+
+
+def _view_levels(tower, v):
+    """The levels used by v, walking every coefficient value."""
+    npar = tower.nparams
+    out = set()
+
+    def walk(u, depth):
+        if isinstance(u, Fraction) or depth <= npar:
+            return
+        for p in (u.num, u.den):
+            if p.degree() > 0:
+                out.add(depth - npar)
+            for c in p.coeffs:
+                walk(c, depth - 1)
+
+    walk(v, vdepth(v))
+    return out
+
+
+def _sub_values(v):
+    """v and every coefficient value of its numerator and denominator, at
+    every depth."""
+    out = [v]
+    for u in out:
+        if not isinstance(u, Fraction):
+            out.extend(c for p in (u.num, u.den) for c in p.coeffs)
+    return out
+
+
+@pytest.mark.parametrize("tower", [Q_TOWER, H_TOWER, N_TOWER, B_TOWER,
+                                   P_TOWER, P2_TOWER],
+                         ids=["Q", "H", "N", "B", "P", "P2"])
+def test_levels_used_reads_the_stored_coefficients(tower):
+    # constant coefficients over a common denominator: 1 = (x+1)/(x+1)
+    texts = ["t1 + 1/(x+1)", "3*(x+1)*t1^2 + x*t1 + 5/2", "t1/(t1 + 2)"]
+    values = ([parse(tower, t) for t in texts] if tower.nlevels >= 2
+              else [])
+    rng = random.Random(2808)
+    values += [rand_value(tower, rng, 2) for _ in range(12)]
+    for v in values:
+        for u in _sub_values(v):
+            assert _levels_used(tower, u) == _view_levels(tower, u)
 
 
 def test_nullspace_solver():
