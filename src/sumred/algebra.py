@@ -2,8 +2,14 @@
 
 Values live in a chain of univariate rational-function fields built over Q:
 a value of depth 0 is a Fraction, a value of depth d >= 1 is a RatFunc whose
-numerator and denominator are Poly objects with coefficients of depth d - 1.
-One Poly never mixes coefficient depths.
+numerator and denominator are Poly objects over the field of depth d - 1.
+Constants carry no depth: a constant Poly((c,)) stores c at its own depth,
+that of the highest variable c uses (lower(c)), so a value of depth d free
+of t_d is one wrapper, Poly((v,)) over 1, and 1 is _P_ONE at every depth.
+A nonconstant Poly keeps all its coefficients at its field's depth. RatFunc
+arithmetic takes equal depths only; a Poly operation that meets a constant
+with a shallower coefficient lifts it by one wrapper first (_pair), and a
+product with 1 is the other factor.
 
 Every RatFunc is kept in reduced canonical form: gcd(num, den) = 1 and den
 monic, recursively at every depth. Rational content therefore migrates into
@@ -14,7 +20,8 @@ Polynomials are dense, lowest degree first, with no trailing zero. The zero
 polynomial has no coefficients; degree() reports -1 for it (standing in for
 degree minus infinity).
 
-A Poly is stored in one of three forms, by the depth of its coefficients:
+A Poly is stored in one of three forms, by the depth of its coefficients
+(for a constant its coefficient's own depth, so one free of x is an int):
 
  * Fraction coefficients (the bottom level, Q[x]): a tuple of integer
    numerators over one positive int denominator, normalised so that the
@@ -48,8 +55,7 @@ content and denominator is taken where a smaller one suffices:
  * products: content(N1) is cancelled against D2 and content(N2) against
    D1, each gcd chain stopping at its first gcd of degree 0; what is left
    is coprime (Gauss's lemma), so only the integer content remains, and
-   with both D constant nothing but the integer content is checked. A
-   product with 1 is the other factor;
+   with both D constant nothing but the integer content is checked;
  * divisions pseudo-divide over Z[x] (_xpdivmod) and cancel the quotient
    and the remainder against s * D1;
  * monic divides by the top numerator, against which only the content of
@@ -77,7 +83,9 @@ coeffs, the Fraction or RatFunc tuple that printing, the sort keys and
 generic code read, is built on first read and then kept; results nobody
 reads never build it. poly_sort_key and value_sort_key read this view, so
 the order of factors and components, and with it every printed result, is
-the same in every form. A Poly built from Fractions is cleared once
+the same in every form; value_sort_key keys a constant's coefficient as if
+each level above it were stored, so it is the order of that form too, at
+every depth a constant sits. A Poly built from Fractions is cleared once
 (_to_zpoly), which already gives the normalised form; one built from depth-1
 values is summed term by term (_to_xpoly).
 
@@ -127,15 +135,17 @@ share a factor) costs only that fallback, and the canonical form makes the
 answer the same on either path. The points are constants, not a choice,
 so every run takes the same path.
 
-The ZZ images are built by _zz_poly and turned back into monic polynomials
-over the field below by _monic_from_zz. At c = 1 the image is the stored
-N itself and the way back is one _xpoly; no coefficient view is built.
-sigmafactor factors denominators through the same pair: it hands the image
-to sympy's dmp_factor_list and rebuilds each factor, so it never reads the
-image format itself. A quadratic with coefficients of depth 0 or 1 it
-splits on the stored integers instead (as_integers), with math.isqrt or
-_zsqrt for the square root of the discriminant, and over Q it divides
-out translates of known classes with _zeval, _ztaylor and _zexquo.
+The ZZ images are built by _zz_poly, which clears a constant's coefficient
+at its own depth and nests it into the variables above, and turned back
+into monic polynomials over the field below by _monic_from_zz. At c = 1
+the image is the stored N itself and the way back is one _xpoly; no
+coefficient view is built. sigmafactor factors denominators through the
+same pair: it hands the image to sympy's dmp_factor_list and rebuilds each
+factor, so it never reads the image format itself. A quadratic with
+coefficients of depth 0 or 1 it splits on the stored integers instead
+(as_integers), with math.isqrt or _zsqrt for the square root of the
+discriminant, and over Q it divides out translates of known classes with
+_zeval, _ztaylor and _zexquo.
 
 The optional integer cap (SUMRED_MAX_INT_BITS, which the command line
 applies for the duration of each run) is checked on every Poly built, so
@@ -150,6 +160,7 @@ sigmafactor, or the root bound and the trial quotients of its peel.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -205,15 +216,10 @@ def _over_cap():
 
 
 class Poly:
-    """Dense univariate polynomial; see the module docstring for conventions.
-
-    _c holds the stored coefficients and _d their common denominator:
-    integer numerators over an int _d at the bottom level, Z[x] numerators
-    (int tuples) over a Z[x] tuple _d for coefficients of depth 1, and the
-    RatFunc values themselves above that (where _d is None). coeffs is the
-    coefficient tuple; for the two integer forms it is a view built on
-    first read.
-    """
+    """Dense univariate polynomial in a stored form of the module docstring:
+    _c the stored coefficients over _d (an int, a Z[x] tuple, or None for
+    RatFunc coefficients); coeffs the coefficient tuple, for the two integer
+    forms a view built on first read."""
 
     __slots__ = ("_c", "_d", "coeffs")
 
@@ -222,6 +228,8 @@ class Poly:
         n = len(coeffs)
         while n and _is_zero_val(coeffs[n - 1]):
             n -= 1
+        if n == 1:
+            coeffs = (lower(coeffs[0]),)
         if n and isinstance(coeffs[0], Fraction):
             ints, den = _to_zpoly(coeffs[:n])
             self._c, self._d = tuple(ints), den
@@ -268,21 +276,16 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return _read(a[-1], self._d)
 
-    def coeff(self, i, depth_below=None):
+    def coeff(self, i, depth_below):
+        """The coefficient of t^i; beyond the degree, zero at depth_below."""
         a = self._c
         if 0 <= i < len(a):
             return _read(a[i], self._d)
-        if depth_below is None:
-            if not a:
-                raise ValueError("coefficient depth unknown for zero Poly")
-            depth_below = _coeff_depth(self)
         return zero_at(depth_below)
 
     def is_one(self):
-        a = self._c
-        if len(a) != 1:
-            return False
-        return a[0].is_one() if self._d is None else a[0] == self._d
+        # 1 is _P_ONE at every depth
+        return self._d == 1 and self._c == (1,)
 
     # -- ring operations -------------------------------------------------
 
@@ -293,11 +296,12 @@ class Poly:
         return self._sum(other, True)
 
     def _sum(self, other, subtract):
-        a, b = self._c, other._c
-        if not b:
+        if not other._c:
             return self
-        if not a:
+        if not self._c:
             return -other if subtract else other
+        self, other = _pair(self, other)
+        a, b = self._c, other._c
         d = self._d
         if d is None:
             out = list(a) + [zero_at(a[0].depth)] * (len(b) - len(a))
@@ -322,17 +326,16 @@ class Poly:
         return _xp(tuple([tuple([-v for v in x]) for x in a]), d)
 
     def __mul__(self, other):
-        a, b = self._c, other._c
-        if not a or not b:
+        if not self._c or not other._c:
             return _P_ZERO
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        self, other = _pair(self, other)
+        a, b = self._c, other._c
         d = self._d
         if d is None:
-            if len(a) == 1:
-                c = a[0]
-                return Poly(tuple(c * x for x in b))
-            if len(b) == 1:
-                c = b[0]
-                return Poly(tuple(x * c for x in a))
             out = [zero_at(a[0].depth)] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 if _is_zero_val(ca):
@@ -341,21 +344,18 @@ class Poly:
                     out[i + j] = out[i + j] + ca * cb
             return Poly(out)
         if d.__class__ is tuple:
-            e = other._d
-            if len(b) == 1 and b[0] == e:
-                return self
-            if len(a) == 1 and a[0] == d:
-                return other
-            return _xmul(a, d, b, e)
+            return _xmul(a, d, b, other._d)
         return _zpoly(_zmul(a, b), d * other._d)
 
     def scale(self, c):
-        """Multiply by a scalar of the coefficient depth."""
+        """Multiply by a scalar of the coefficient field."""
         a = self._c
         if not a or _is_one_val(c):
             return self
         if _is_zero_val(c):
             return _P_ZERO
+        if vdepth(c) != _coeff_depth(self):
+            return self * Poly((c,))
         d = self._d
         if d is None:
             return Poly(tuple(x * c for x in a))
@@ -368,11 +368,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Poly")
-        if n == 0:
-            if not self._c:
-                raise ValueError("0**0 of unknown depth")
-            return _one_poly(_coeff_depth(self))
-        return _power(self, n)
+        return _power(self, n) if n else _P_ONE
 
     # -- euclidean structure ----------------------------------------------
 
@@ -384,7 +380,8 @@ class Poly:
         db = len(b) - 1
         if len(self._c) - 1 < db:
             return _P_ZERO, self
-        d = other._d
+        self, other = _pair(self, other)
+        b, d = other._c, other._d
         if d.__class__ is int:
             # pseudo-division s * A = Q * B + R of the numerators gives
             # q = Q * db / (s * da) and r = R / (s * da)
@@ -413,8 +410,11 @@ class Poly:
 
     def __mod__(self, other):
         """The remainder of divmod. The integer forms normalise only it."""
+        if not other._c or len(self._c) < len(other._c):
+            return self.divmod(other)[1]
+        self, other = _pair(self, other)
         b, d = other._c, other._d
-        if not b or len(self._c) < len(b) or d is None:
+        if d is None:
             return self.divmod(other)[1]
         if d.__class__ is int:
             _q, r, s = _zpoly_pdivmod(self._c, b)
@@ -432,6 +432,8 @@ class Poly:
     def monic(self):
         """Return (leading coefficient, self made monic)."""
         a, d = self._c, self._d
+        if len(a) == 1:
+            return self.lc(), _P_ONE
         if d.__class__ is tuple:
             top = a[-1]
             if top == d:
@@ -546,6 +548,8 @@ def _xpoly(c, d, cand=None):
         else:
             d = [v // g for v in d]
             c = [[v // g for v in x] for x in c]
+    if len(c) == len(c[0]) == len(d) == 1:  # a constant free of x
+        return _zp((c[0][0],), d[0])
     return _xp(tuple([tuple(x) for x in c]), tuple(d))
 
 
@@ -672,22 +676,36 @@ def _xpdivmod(a, b):
 
 _P_ZERO = Poly(())
 _P_ONE = _zp((1,), 1)
-_X_ONE = _xp(((1,),), (1,))
 
 
 def _coeff_depth(p):
-    """The depth of the coefficients of p (0 for the zero Poly)."""
+    """The depth of p's coefficients: a constant's own, 0 for the zero Poly."""
     d = p._d
     if d is None:
         return p._c[0].depth
     return 0 if d.__class__ is int else 1
 
 
-def _const_poly(v):
-    """The constant polynomial v."""
-    if isinstance(v, Fraction):
-        return _zp((v.numerator,), v.denominator) if v else _P_ZERO
-    return Poly((v,))
+def _pair(a, b):
+    """Nonzero a and b in one stored form. A constant whose coefficient is
+    shallower than the other side's coefficients has it lifted by _up."""
+    da, db = a._d, b._d
+    if da.__class__ is db.__class__ and (
+            da is not None or a._c[0].depth == b._c[0].depth):
+        return a, b
+    ca, cb = _coeff_depth(a), _coeff_depth(b)
+    return (_up(a, cb), b) if ca < cb else (a, _up(b, ca))
+
+
+def _up(p, depth):
+    """The constant p with its coefficient lifted to depth by one wrapper,
+    in the form that depth stores: a kernel operand, never a result."""
+    if depth == 1:
+        return _xp(((p._c[0],),), (p._d,))
+    q = Poly.__new__(Poly)
+    q.coeffs = q._c = (RatFunc(p, _P_ONE, depth, _trusted=True),)
+    q._d = None
+    return q
 
 
 def _power(base, n):
@@ -717,7 +735,7 @@ class RatFunc:
 
     @staticmethod
     def from_poly(p, depth):
-        return RatFunc(p, _one_poly(depth - 1), depth, _trusted=True)
+        return RatFunc(p, _P_ONE, depth, _trusted=True)
 
     # -- inspection ------------------------------------------------------
 
@@ -854,34 +872,12 @@ def vdepth(v):
     return 0 if v.__class__ is Fraction else v.depth
 
 
-_ZERO_CACHE = {}
-_ONE_CACHE = {}
-
-
 def zero_at(depth):
-    if depth == 0:
-        return F0
-    v = _ZERO_CACHE.get(depth)
-    if v is None:
-        v = RatFunc(_P_ZERO, _one_poly(depth - 1), depth, _trusted=True)
-        _ZERO_CACHE[depth] = v
-    return v
+    return RatFunc(_P_ZERO, _P_ONE, depth, _trusted=True) if depth else F0
 
 
 def one_at(depth):
-    if depth == 0:
-        return F1
-    v = _ONE_CACHE.get(depth)
-    if v is None:
-        v = RatFunc(_one_poly(depth - 1), _one_poly(depth - 1), depth, _trusted=True)
-        _ONE_CACHE[depth] = v
-    return v
-
-
-def _one_poly(coeff_depth):
-    if coeff_depth <= 1:
-        return _X_ONE if coeff_depth else _P_ONE
-    return Poly((one_at(coeff_depth),))
+    return RatFunc(_P_ONE, _P_ONE, depth, _trusted=True) if depth else F1
 
 
 def frac_at(fr, depth):
@@ -904,52 +900,63 @@ def frac_pow(q, n):
 
 
 def lift(v, depth):
-    """Embed a value into a greater or equal depth."""
+    """Embed a value into a greater or equal depth: one wrapper,
+    RatFunc(Poly((v,)), 1), whatever the distance, as Poly((v,)) stores v at
+    its own depth."""
     d = vdepth(v)
     if d > depth:
         raise ValueError("cannot lift downward")
-    for dd in range(d + 1, depth + 1):
-        v = RatFunc(_const_poly(v), _one_poly(dd - 1), dd, _trusted=True)
-    return v
+    return v if d == depth else RatFunc(Poly((v,)), _P_ONE, depth,
+                                        _trusted=True)
 
 
 def drop(v):
-    """Strip one depth from a value that does not involve its top variable.
+    """v one depth lower, when it does not involve its top variable.
 
     Returns None when the value genuinely uses the top variable.
     """
-    if isinstance(v, Fraction):
+    if isinstance(v, Fraction) or not v.den.is_one() or v.num.degree() > 0:
         return None
-    if not v.den.is_one() or v.num.degree() > 0:
-        return None
-    if v.num.is_zero():
-        return zero_at(v.depth - 1)
-    return v.num.coeff(0)
+    return lift(lower(v), v.depth - 1)
 
 
 def lower(v, depth=None):
-    """v with every trivial top level stripped off, as low as it goes.
+    """v at its own depth, that of the highest variable it uses: the
+    coefficient of a wrapper, which is stored at its own depth.
 
     With a depth, the value at exactly that depth (lifted back up when it
     goes lower), or None when v uses a variable above that depth.
     """
-    while True:
-        below = drop(v)
-        if below is None:
-            break
-        v = below
+    if v.__class__ is not Fraction and v.den.is_one() and v.num.degree() < 1:
+        v = v.num.coeff(0, 0)
     if depth is None:
         return v
     return lift(v, depth) if vdepth(v) <= depth else None
 
 
-def value_sort_key(v):
-    """A total order on same-depth values, used only to pin choices."""
+def value_sort_key(v, depth=None):
+    """A total order on values, used only to pin choices. A nonzero v below
+    depth (default its own), the coefficient of a constant, is keyed as its
+    lift there level by level, as if every level of a constant were stored:
+    so no order depends on how deep a constant sits."""
     if isinstance(v, Fraction):
-        return (0, v)
-    return (1, v.num.degree(), v.den.degree(),
-            tuple(value_sort_key(c) for c in v.num.coeffs),
-            tuple(value_sort_key(c) for c in v.den.coeffs))
+        key = (0, v)
+    else:
+        key = (1, v.num.degree(), v.den.degree(),
+               tuple(value_sort_key(c, v.depth - 1) for c in v.num.coeffs),
+               tuple(value_sort_key(c, v.depth - 1) for c in v.den.coeffs))
+    for d in range(vdepth(v), depth or 0):
+        key = (1, 0, 0, (key,), (_one_key(d),))
+    return key
+
+
+@functools.lru_cache(maxsize=None)
+def _one_key(depth):
+    """value_sort_key of 1 at depth."""
+    if not depth:
+        return (0, F1)
+    key = _one_key(depth - 1)
+    return (1, 0, 0, (key,), (key,))
 
 
 def poly_sort_key(p):
@@ -967,7 +974,7 @@ def _reduce_pair(num, den):
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
-        return _P_ZERO, _one_poly(_coeff_depth(den))
+        return _P_ZERO, _P_ONE
     if not den.is_one():
         g = poly_gcd(num, den)
         if g.degree() > 0:
@@ -1008,9 +1015,9 @@ def poly_gcd(a, b):
         return b.monic()[1] if not b.is_zero() else b
     if b.is_zero():
         return a.monic()[1]
-    c = _coeff_depth(a)
     if a.degree() == 0 or b.degree() == 0:
-        return _one_poly(c)
+        return _P_ONE
+    c = _coeff_depth(a)
     if c == 0:
         return _qpoly_gcd(a, b)
     if c == 1:
@@ -1019,7 +1026,7 @@ def poly_gcd(a, b):
             return g
     g = dmp_gcd(_zz_poly(a, c)[0], _zz_poly(b, c)[0], c, ZZ)
     if len(g) == 1:
-        return _one_poly(c)
+        return _P_ONE
     return _monic_from_zz(g, c)
 
 
@@ -1048,7 +1055,7 @@ def _xgcd_by_image(a, b):
         return None
     h = _zpoly_gcd([_zeval(x, xi) for x in na], [_zeval(x, xi) for x in nb])
     if len(h) == 1:
-        return _X_ONE
+        return _P_ONE
     if len(h) == len(nb) and not any(_xpdivmod(na, nb)[1]):
         return b.monic()[1]
     return None
@@ -1067,7 +1074,7 @@ def _cofactor_euclid(a, b):
     s * a = g modulo b, by Euclid's loop on (b, a) tracking the cofactor of
     a only. A remainder of degree 0 ends it: a constant a is one inversion."""
     r0, r1 = b, a
-    s0, s1 = _P_ZERO, _one_poly(_coeff_depth(a if a._c else b))
+    s0, s1 = _P_ZERO, _P_ONE
     while r1.degree() > 0:
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
@@ -1101,6 +1108,14 @@ def _zz_poly(p, c):
     P is a sympy dense polynomial in the c + 1 variables y_1..y_c, t (top
     variable outermost), D one in y_1..y_c (an int when c = 0).
     """
+    n = _coeff_depth(p)
+    if n < c:
+        # a constant: its coefficient cleared at its own depth, then nested
+        # as a constant in y_(n+1)..y_c
+        (num,), den = _zz_poly(p, n)
+        for _ in range(c - n):
+            num, den = [num], [den]
+        return [num], den
     if c == 0:
         return [ZZ(x) for x in reversed(p._c)], ZZ(p._d)
     if c == 1:

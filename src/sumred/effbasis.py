@@ -24,12 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
-    Poly,
     RatFunc,
     _is_zero_val,
     coprime_split,
     lift,
-    one_at,
     padic_expand,
     poly_sort_key,
     vdepth,
@@ -69,8 +67,7 @@ class BasisElement:
             t = lift(tower.var(tower.names[depth]), tower.full_depth)
             out = out * t ** k
             if q is not None:
-                qv = RatFunc(q, Poly((one_at(depth - 1),)), depth,
-                             _trusted=True)
+                qv = RatFunc.from_poly(q, depth)
                 out = out / lift(qv, tower.full_depth) ** m
         return out
 
@@ -102,9 +99,9 @@ def expand_remainder(ctx, v):
     denominator, each piece is expanded q-adically, and the digit d_j
     contributes t^k / q^(m - j) times the expansion of its k-th coefficient.
     """
-    depth = vdepth(v)
-    if depth <= ctx.tower.nparams:
-        return {} if _is_zero_val(v) else {BASIS_ONE: v}
+    depth, npar = vdepth(v), ctx.tower.nparams
+    if depth <= npar:  # a coordinate is a constant at the parameter depth
+        return {} if _is_zero_val(v) else {BASIS_ONE: lift(v, npar)}
     out = {}
     poly, proper = ctx.tower.split_poly_proper(v)
     _expand_digit(ctx, out, poly, depth)

@@ -284,7 +284,7 @@ def _cleared_pair(num, den, depth):
         else:
             common = common.exact_div(poly_gcd(common, c.den)) * c.den
     if common is not None:
-        s = RatFunc(common, common ** 0, depth - 1, _trusted=True)
+        s = RatFunc.from_poly(common, depth - 1)
         return num.scale(s), den.scale(s)
     return num, den
 

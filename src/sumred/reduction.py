@@ -62,7 +62,6 @@ from .algebra import (
     coprime_sum,
     frac_at,
     lift,
-    one_at,
     vdepth,
     zero_at,
 )
@@ -280,7 +279,7 @@ def auxiliary_reduction(ctx, p, depth):
     work = p
     while not work.is_zero():
         d = work.degree()
-        gd, rd = complete_reduction(ctx, work.lc())
+        gd, rd = complete_reduction(ctx, lift(work.lc(), below))
         pad = (zero_at(below),) * d
         mono_g = Poly(pad + (gd,))
         mono_r = Poly(pad + (rd,))
@@ -304,7 +303,7 @@ def reduce_polynomial(ctx, p, depth):
     q = v = Poly(())
     while not p.is_zero():
         d = p.degree()
-        gd, rd = complete_reduction(ctx, p.lc())
+        gd, rd = complete_reduction(ctx, lift(p.lc(), below))
         pad = (zero_at(below),) * d
         w = Poly(pad + (gd,))
         b = ctx.delta_poly(w, depth)
@@ -341,12 +340,7 @@ def complete_reduction(ctx, f):
     if depth <= ctx.tower.nparams:
         return zero_at(depth), f
     poly, proper = ctx.tower.split_poly_proper(f)
-    if poly.is_zero():
-        g_poly, v_poly = Poly(()), Poly(())
-    else:
-        g_poly, v_poly = reduce_polynomial(ctx, poly, depth)
+    g_poly, v_poly = reduce_polynomial(ctx, poly, depth)
     g2, r2 = reduce_proper(ctx, proper)
-    one = Poly((one_at(depth - 1),))
-    g = RatFunc(g_poly, one, depth, _trusted=True) + g2
-    r = RatFunc(v_poly, one, depth, _trusted=True) + r2
-    return g, r
+    return (RatFunc.from_poly(g_poly, depth) + g2,
+            RatFunc.from_poly(v_poly, depth) + r2)

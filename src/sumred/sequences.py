@@ -330,12 +330,11 @@ def _compile_poly(p, depth):
                 raise _Pole
             return 0, 1
         return zero
+    if not deg:  # a constant: whatever the variable, its coefficient
+        return _compile(p.lc())
     if depth == 1:
         # Fraction coefficients: their numerators over one denominator
         nums, den = p.as_integers()
-        if not deg:
-            pair = nums[0], den
-            return lambda vals: pair
         rev = nums[::-1]
 
         def bottom(vals):
@@ -346,9 +345,7 @@ def _compile_poly(p, depth):
             return acc, den * w
         return bottom
     if depth == 2:
-        return _compile_zx(p, deg)
-    if not deg:  # a constant: whatever the variable, its coefficient
-        return _compile(p.coeffs[0])
+        return _compile_zx(p)
     coeffs = [_compile(c) for c in reversed(p.coeffs)]
 
     def upper(vals):
@@ -359,7 +356,7 @@ def _compile_poly(p, depth):
     return upper
 
 
-def _compile_zx(p, deg):
+def _compile_zx(p):
     """The evaluator of p at depth 2, whose coefficients are Z[x]
     numerators over one Z[x] denominator. All of them are padded to one
     degree, so that at x = a / b each is b^width times its value and the
@@ -374,7 +371,7 @@ def _compile_zx(p, deg):
     def ev(vals):
         nonlocal view
         point = vals.get(2)
-        if point is None and deg:
+        if point is None:
             raise _Pole
         below = vals.get(1)
         if below is None:

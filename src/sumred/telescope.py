@@ -87,9 +87,8 @@ def parameterized_telescope(ctx, fs):
     coords = [expand_remainder(ctx, r) for _g, r in pairs]
     elements = sorted({e for c in coords for e in c},
                       key=lambda e: e.sort_key())
-    m = len(fs)
-    rows = [[_cnorm(ctx, c.get(e)) for c in coords] for e in elements]
-    n = tower.nparams
+    m, n = len(fs), tower.nparams
+    rows = [[c.get(e, zero_at(n)) for c in coords] for e in elements]
     out = [BasisRow((zero_at(n),) * m, lift(Fraction(1), tower.full_depth))]
     for vec in nullspace_basis(rows, m, zero_at(n), one_at(n)):
         w = zero_at(tower.full_depth)
@@ -190,11 +189,10 @@ def _levels_used(tower, v):
     npar = tower.nparams
     out = set()
 
-    def walk(u, depth):
-        if isinstance(u, Fraction) or depth <= npar:
-            return
-        wpoly(u.num, depth)
-        wpoly(u.den, depth)
+    def walk(u):
+        if vdepth(u) > npar:
+            wpoly(u.num, u.depth)
+            wpoly(u.den, u.depth)
 
     def wpoly(p, depth):
         if p.degree() > 0:
@@ -202,13 +200,13 @@ def _levels_used(tower, v):
         c, d = p.as_integers()
         if d is None:
             for u in c:
-                walk(u, depth - 1)
-        elif depth - 1 > npar and any(
+                walk(u)
+        elif d.__class__ is tuple and not npar and any(
                 n and [a * d[-1] for a in n] != [b * n[-1] for b in d]
                 for n in c):
             out.add(1)
 
-    walk(v, vdepth(v))
+    walk(v)
     return out
 
 
@@ -257,9 +255,3 @@ def nullspace_basis(rows, m, zero, one):
         out.append(tuple(e * inv for e in vec))
     out.sort(key=lambda v: next(k for k in range(m) if not _is_zero_val(v[k])))
     return out
-
-
-def _cnorm(ctx, v):
-    """A coordinate as a constant at the parameter depth (0 when absent)."""
-    n = ctx.tower.nparams
-    return zero_at(n) if v is None else lift(v, n)

@@ -90,6 +90,9 @@ class Translation:
         """Translate a polynomial in the depth-level variable."""
         if p.is_zero() or depth <= self.nparams:
             return p
+        if not p.degree():  # a constant: its coefficient, at its own depth
+            c = p.lc()
+            return p if vdepth(c) <= self.nparams else Poly((self.value(c),))
         if depth <= 2:
             # integer-stored coefficients: one Taylor shift on the integers,
             # with x -> x + offset(1) inside them at level 2 over Q
@@ -97,7 +100,7 @@ class Translation:
             return taylor_shift(p, self.offset(depth), inner)
         coeffs = [self.value(c) for c in p.coeffs]
         s = self.offset(depth)
-        if len(coeffs) == 1 or _is_zero_val(s):
+        if _is_zero_val(s):
             return Poly(coeffs)
         # pows[j] is (t + s)^(j + 1)
         pows = self._pows.get(depth)
@@ -198,7 +201,7 @@ class TowerSpec:
         """The named variable as a value at its own depth."""
         d = self.depth_of_name(name)
         t = Poly((zero_at(d - 1), one_at(d - 1)))
-        return RatFunc(t, Poly((one_at(d - 1),)), d, _trusted=True)
+        return RatFunc.from_poly(t, d)
 
     def gen_var(self, level):
         return self.var(self.gens[level - 1].name)

@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -837,10 +838,15 @@ def _in_ring(ring, syms, p):
 
 def _assert_stored_canonical(p, syms):
     """The stored (N, D) of p: no trailing zeros, lc(D) > 0, integer
-    content 1 and D coprime over Q[y] to the content of N."""
+    content 1 and D coprime over Q[y] to the content of N. A constant free
+    of y is stored at its own depth: one integer over a coprime positive
+    int."""
     if p.is_zero():
         return
     nums, den = p.as_integers()
+    if isinstance(den, int):
+        assert len(nums) == 1 and den > 0 and math.gcd(nums[0], den) == 1
+        return
     assert isinstance(den, tuple) and den[-1] > 0 and nums[-1]
     assert all(not n or n[-1] for n in nums)
     assert sympy.igcd(*den, *(v for n in nums for v in n)) == 1

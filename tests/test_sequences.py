@@ -8,7 +8,7 @@ import pytest
 from conftest import (H_TOWER, N_TOWER, P_TOWER, Q_TOWER, delta, parse,
                       rand_value)
 import sumred.sequences as sequences
-from sumred.algebra import Poly, RatFunc, vdepth, zero_at
+from sumred.algebra import Poly, RatFunc, zero_at
 from sumred.reduction import ReductionContext, complete_reduction
 from sumred.sequences import (POLE, SequenceAssignment, _compile, _eval_at,
                               _Pole, eval_sequence, fit_rational,
@@ -105,26 +105,26 @@ def test_verify_flags_a_corrupted_pair():
 
 def _fraction_horner(v, vals):
     """Reference evaluator: Horner in Fraction, one reduction per step."""
-    def val(u, depth):
+    def val(u):
         if isinstance(u, Fraction):
             return u
-        den = pol(u.den, depth)
+        den = pol(u.den, u.depth)
         if den == 0:
             raise _Pole
-        return pol(u.num, depth) / den
+        return pol(u.num, u.depth) / den
 
     def pol(p, depth):
         point = vals.get(depth)
         if point is None:
             if p.degree() == 0:
-                return val(p.coeffs[0], depth - 1)
+                return val(p.coeffs[0])
             raise _Pole
         acc = Fraction(0)
         for c in reversed(p.coeffs):
-            acc = acc * point + val(c, depth - 1)
+            acc = acc * point + val(c)
         return acc
 
-    return val(v, vdepth(v))
+    return val(v)
 
 
 def _outcome(evaluate, v, vals):

@@ -32,6 +32,11 @@ values of test_proper_part_matches_the_stepping_chain (4 to 6 pieces over
 two classes per level, seed 1818), one context per tower as in the test.
 The test files are read from this script's checkout.
 
+The line `deep <digest>` covers towers of more than 3 levels, which no
+workload builds: g, r and notes of `telescope` on the inputs of DEEP, on
+towers/hsums4.tower (8 levels) and on x with s_i : 1/(x+1)^i for
+i = 1..8 (9 levels), each in a fresh context.
+
 A typed failure is printed as its class name. Two checkouts give equal
 digests when their operations print the same results. To compare a change
 with its parent, unpack the parent into a directory of its own and point
@@ -54,6 +59,18 @@ from pathlib import Path
 OPS = {"poly": 54, "session": 84, "oneshot": 42, "creative": 56}
 
 _TIMING = re.compile(r'"timing_ms": [0-9.e+-]+')
+
+# The deep line's inputs per tower; None is the 9-level tower of s_i.
+DEEP = (
+    ("hsums4.tower", (
+        "s1/(x+1)", "1/x", "s11/(x+2)^2", "s1^2/(x+1) + s111",
+        "(s12 + s11)/(x+1)^2", "s121*s1/(x+1)", "(s1 + 1/(x+1))/(s11 + x)",
+        "s1111/(x+1) - s112/(x+3)", "1/(x^2 + 1) - 1/(x^2 + 2*x + 2)")),
+    (None, (
+        "1/(x+1)^5", "s3/(x+1) + s8", "s1*s2/(x+1)^3", "1/x - s7",
+        "(s1 + 1/(x+1))/(s2/(x+2)^2 + x)", "s8^2/(x+1)^8 + s4/(x+5)",
+        "s2/(x+1)^6 - s6/(x+1)^2")),
+)
 
 
 def _printed(wl, item, out, root):
@@ -150,6 +167,27 @@ def proper_digest(root):
     return sha.hexdigest()
 
 
+def deep_digest(root):
+    """SHA-256 over g, r and the notes of telescope on each input of DEEP."""
+    from sumred.exprio import format_value, parse_expression
+    from sumred.reduction import ReductionContext
+    from sumred.telescope import telescope
+    from sumred.towerfile import load_tower_file, parse_tower_text
+
+    sha = hashlib.sha256()
+    for name, texts in DEEP:
+        tower = (load_tower_file(root / "towers" / name) if name else
+                 parse_tower_text("gen x : 1\nseed x : x\n" + "".join(
+                     f"gen s{i} : 1/(x+1)^{i}\n" for i in range(1, 9))))
+        for text in texts:
+            ctx = ReductionContext(tower)
+            res = telescope(ctx, parse_expression(tower, text))
+            sha.update(json.dumps([format_value(tower, res.g),
+                                   format_value(tower, res.r), _notes(ctx)])
+                       .encode() + b"\n")
+    return sha.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve()
@@ -174,6 +212,7 @@ def main(argv=None):
             print(name, seed, digest(workloads, root, name, int(seed)),
                   flush=True)
     print("proper", proper_digest(root), flush=True)
+    print("deep", deep_digest(root), flush=True)
     return 0
 
 
